@@ -18,6 +18,7 @@ import socket
 import struct
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -197,7 +198,27 @@ class _SimServer(ThreadingHTTPServer):
     def __init__(self, bind: tuple[str, int], family: int, simulator: "DeviceSimulator"):
         self.address_family = family
         self.simulator = simulator
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
         super().__init__(bind, _SimHandler)
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def drop_connections(self) -> None:
+        """Shut down every accepted connection, idle keep-alive ones included."""
+        with self._open_lock:
+            conns = list(self._open)
+        for conn in conns:
+            with suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
 
 
 class DeviceSimulator:
@@ -255,8 +276,10 @@ class DeviceSimulator:
         return self
 
     def stop(self) -> None:
+        """Stop listening and drop open connections, so peers see EOF."""
         self._server.shutdown()
         self._server.server_close()
+        self._server.drop_connections()
         if self._thread:
             self._thread.join(timeout=5)
 

@@ -4,8 +4,10 @@ Client requests for /devices/{id}/... run the pipeline against registered
 devices. The coded (short-key) JSON form exists only on the gateway-device
 leg; clients always see long keys. When the client-facing listener's address
 family differs from the device's, forwarding goes through the SOCKS relay;
-matching families connect directly. Devices that stop answering are reported
-with a 503 outage body and probed back to health.
+matching families connect directly. Device-leg connections are persistent
+HTTP/1.1 and pooled per device and leg, so a relay tunnel carries many
+requests. Devices that stop answering are reported with a 503 outage body and
+probed back to health.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import ipaddress
 import json
 import logging
 import math
+import select
 import socket
 import threading
 import time
@@ -44,6 +47,15 @@ HEALTH_DOWN = "down"
 
 _AF = {FAMILY_V4: socket.AF_INET, FAMILY_V6: socket.AF_INET6}
 
+# Idle keep-alive connections kept per device and leg; more are closed after use.
+POOL_MAX_IDLE = 2
+# An idle connection older than this is closed rather than reused; well below
+# the relay's idle timeout, so a pooled tunnel is never cut under a request.
+POOL_IDLE_SECONDS = 10.0
+# Methods retried once on a fresh connection when a reused one dies before
+# answering (RFC 9112 section 9.3.1); never POST.
+_RETRYABLE_METHODS = frozenset(("GET", "HEAD"))
+
 
 class DuplicateDeviceError(ValueError):
     pass
@@ -57,8 +69,79 @@ class DeviceTimeout(DeviceUnavailable):
     pass
 
 
+class _Unanswered(DeviceUnavailable):
+    """The connection failed before any response byte arrived."""
+
+
 class DeviceProtocolError(Exception):
     """The device answered, but not with parseable HTTP/JSON."""
+
+
+def _readable(sock: socket.socket) -> bool:
+    """True when a read would not block: EOF, an error, or unread bytes."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+class IdlePool:
+    """Idle keep-alive connections to one device, LIFO per leg, capped.
+
+    Nothing blocks on the pool: ``take`` returns None when no live idle
+    connection is left and the caller opens a new one. Once closed, the pool
+    closes whatever is handed back to it.
+    """
+
+    def __init__(self, max_idle: int = POOL_MAX_IDLE, idle_seconds: float = POOL_IDLE_SECONDS):
+        self.max_idle = max_idle
+        self.idle_seconds = idle_seconds
+        self._idle: dict[tuple, list[tuple[http.client.HTTPConnection, float]]] = {}
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def take(self, leg: tuple, now: float) -> tuple[http.client.HTTPConnection | None, int]:
+        """Pop a live idle connection; also returns how many dead ones were closed."""
+        discarded = 0
+        while True:
+            with self._lock:
+                idle = self._idle.get(leg)
+                if not idle:
+                    return None, discarded
+                conn, since = idle.pop()
+            if now - since <= self.idle_seconds and not _readable(conn.sock):
+                return conn, discarded
+            conn.close()
+            discarded += 1
+
+    def give(self, leg: tuple, conn: http.client.HTTPConnection, now: float) -> bool:
+        """Keep ``conn`` for reuse, or close it when the pool is full or closed."""
+        with self._lock:
+            idle = self._idle.setdefault(leg, [])
+            if not self._closed and len(idle) < self.max_idle:
+                idle.append((conn, now))
+                return True
+        conn.close()
+        return False
+
+    def sweep(self, now: float) -> int:
+        """Close idle connections past their age limit; returns how many."""
+        return self._drop(lambda since: now - since > self.idle_seconds)
+
+    def close(self) -> int:
+        """Close every idle connection and refuse later ones; returns how many."""
+        with self._lock:
+            self._closed = True
+        return self._drop(lambda since: True)
+
+    def _drop(self, expired) -> int:
+        with self._lock:
+            dropped = []
+            for idle in self._idle.values():
+                dropped += [conn for conn, since in idle if expired(since)]
+                idle[:] = [(conn, since) for conn, since in idle if not expired(since)]
+        for conn in dropped:
+            conn.close()
+        return len(dropped)
 
 
 @dataclass
@@ -74,6 +157,7 @@ class DeviceRecord:
     last_probe: float | None = None
     consecutive_failures: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    pool: IdlePool = field(default_factory=IdlePool, repr=False)
 
     def describe(self) -> dict:
         return {
@@ -94,12 +178,16 @@ class DeviceRegistry:
 
     def register(self, record: DeviceRecord, replace: bool = False) -> bool:
         """Add a device; returns True when an existing record was replaced."""
+        return self.swap(record, replace) is not None
+
+    def swap(self, record: DeviceRecord, replace: bool = False) -> DeviceRecord | None:
+        """Add a device; returns the record it replaced, if any."""
         with self._lock:
-            existed = record.device_id in self._devices
-            if existed and not replace:
+            previous = self._devices.get(record.device_id)
+            if previous is not None and not replace:
                 raise DuplicateDeviceError(record.device_id)
             self._devices[record.device_id] = record
-            return existed
+            return previous
 
     def get(self, device_id: str) -> DeviceRecord | None:
         with self._lock:
@@ -117,6 +205,16 @@ def _normalize_client_ip(host: str) -> str:
         return host
     mapped = getattr(addr, "ipv4_mapped", None)
     return (mapped or addr).compressed
+
+
+class _Flight:
+    """One in-progress forward that identical concurrent requests wait on."""
+
+    __slots__ = ("done", "response")
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.response = None
 
 
 class Gateway:
@@ -153,7 +251,8 @@ class Gateway:
         self.requests_total = 0
         self.client_leg_bytes = 0
         self.device_leg_bytes = 0
-        self._inflight: dict[CacheKey, threading.Event] = {}
+        self.pool_counts = {"opened": 0, "reused": 0, "discarded": 0}
+        self._inflight: dict[CacheKey, _Flight] = {}
         self._inflight_lock = threading.Lock()
 
     @staticmethod
@@ -202,10 +301,12 @@ class Gateway:
             server.shutdown()
             server.server_close()
         self._servers.clear()
-        if self.relay is not None:
-            self.relay.stop()
         if self._prober:
             self._prober.join(timeout=5)
+        for record in self.registry.all():
+            self._count_pool("discarded", record.pool.close())
+        if self.relay is not None:
+            self.relay.stop()
 
     def listen_address(self, family: str) -> tuple[str, int] | None:
         for server in self._servers:
@@ -238,9 +339,11 @@ class Gateway:
         return record
 
     def register_device(self, record: DeviceRecord, replace: bool = False) -> None:
-        replaced = self.registry.register(record, replace=replace)
-        if replaced:
+        previous = self.registry.swap(record, replace=replace)
+        if previous is not None:
             self.cache.invalidate_device(record.device_id)
+            if previous is not record:
+                self._count_pool("discarded", previous.pool.close())
         log.info("registered device id=%s endpoint=%s:%s family=%s",
                  record.device_id, record.host, record.port, record.family or "unknown")
 
@@ -248,12 +351,14 @@ class Gateway:
 
     def _probe_loop(self) -> None:
         while not self._stop.wait(self.config.probe_interval_seconds):
+            now = time.monotonic()
             for record in self.registry.all():
                 try:
                     self.probe_device(record.device_id)
                 except Exception:
                     log.exception("probe failed for %s", record.device_id)
-            self.guard.purge_idle(time.monotonic(), self.config.dos_idle_purge_seconds)
+                self._count_pool("discarded", record.pool.sweep(now))
+            self.guard.purge_idle(now, self.config.dos_idle_purge_seconds)
 
     def probe_device(self, device_id: str) -> str:
         """Issue the device's health request and update its health state."""
@@ -261,12 +366,17 @@ class Gateway:
         if record is None:
             raise KeyError(device_id)
         try:
-            status, _, _ = self._exchange_direct(record, "GET", record.health_path, b"")
+            status, _, _ = self.forward_to_device(record, "GET", record.health_path, b"", None)
             ok = 200 <= status < 300
         except (DeviceUnavailable, DeviceProtocolError):
             ok = False
+        return self._note_health(record, ok, probed=True)
+
+    def _note_health(self, record: DeviceRecord, ok: bool, probed: bool = False) -> str:
+        """Apply one probe or forward outcome to the device's health state."""
         with record.lock:
-            record.last_probe = time.monotonic()
+            if probed:
+                record.last_probe = time.monotonic()
             if ok:
                 record.consecutive_failures = 0
                 record.health = HEALTH_UP
@@ -277,21 +387,7 @@ class Gateway:
                     and record.consecutive_failures >= self.config.failure_threshold
                 ):
                     record.health = HEALTH_DOWN
-        return record.health
-
-    def _note_forward_failure(self, record: DeviceRecord) -> None:
-        with record.lock:
-            record.consecutive_failures += 1
-            if record.health == HEALTH_UNKNOWN or (
-                record.health == HEALTH_UP
-                and record.consecutive_failures >= self.config.failure_threshold
-            ):
-                record.health = HEALTH_DOWN
-
-    def _note_forward_success(self, record: DeviceRecord) -> None:
-        with record.lock:
-            record.consecutive_failures = 0
-            record.health = HEALTH_UP
+            return record.health
 
     # -- forwarding --
 
@@ -320,14 +416,38 @@ class Gateway:
                 last = exc
         raise DeviceUnavailable(f"connect failed: {last}")
 
-    def _exchange_direct(self, record: DeviceRecord, method: str, path: str, body: bytes):
+    def _leg(self, record: DeviceRecord, listener_family: str | None):
+        """The pool key of the device leg and a function opening a new socket.
+
+        Candidates of the listener's family (any family when it is None, as
+        for health probes) are reached directly; otherwise through the relay.
+        """
         candidates = self._candidates(record)
         timeout = self.config.request_timeout_seconds
-        try:
-            sock = self._connect_direct(candidates, timeout)
-        except socket.timeout as exc:
-            raise DeviceTimeout(str(exc))
-        return self._http_over_socket(sock, record, method, path, body, timeout)
+        direct = [c for c in candidates if listener_family in (None, c.family)]
+        if direct:
+            return ("direct", listener_family), lambda: self._connect_direct(direct, timeout)
+        if self.relay is None:
+            raise DeviceUnavailable(
+                f"device {record.device_id} is {candidates[0].family}-only, "
+                f"client leg is {listener_family}, and the relay is disabled"
+            )
+        relay_addr = self.relay.listen_address(listener_family) or next(
+            addr
+            for addr in (
+                self.relay.listen_address(FAMILY_V4),
+                self.relay.listen_address(FAMILY_V6),
+            )
+            if addr is not None
+        )
+
+        def tunnel() -> socket.socket:
+            try:
+                return socks_connect(relay_addr, record.host, record.port, timeout)
+            except (SocksError, OSError) as exc:
+                raise DeviceUnavailable(f"relay connect failed: {exc}")
+
+        return ("relay", relay_addr), tunnel
 
     def forward_to_device(
         self,
@@ -335,68 +455,72 @@ class Gateway:
         method: str,
         path: str,
         body: bytes,
-        listener_family: str,
+        listener_family: str | None,
     ) -> tuple[int, str, bytes]:
         """Send the coded request to the device, directly or through the relay.
 
-        Returns (status, content_type, body). Raises DeviceTimeout,
-        DeviceUnavailable, or DeviceProtocolError.
+        Uses a pooled keep-alive connection of the leg when a live one is
+        idle. A GET or HEAD whose reused connection dies before any response
+        byte is sent once more on a new connection. Returns (status,
+        content_type, body). Raises DeviceTimeout, DeviceUnavailable, or
+        DeviceProtocolError.
         """
-        candidates = self._candidates(record)
-        timeout = self.config.request_timeout_seconds
-        same_family = [c for c in candidates if c.family == listener_family]
-        if same_family:
-            sock = self._connect_direct(same_family, timeout)
-        elif self.relay is not None:
-            relay_addr = self.relay.listen_address(listener_family) or next(
-                addr
-                for addr in (
-                    self.relay.listen_address(FAMILY_V4),
-                    self.relay.listen_address(FAMILY_V6),
-                )
-                if addr is not None
-            )
+        leg, connect = self._leg(record, listener_family)
+        conn, discarded = record.pool.take(leg, time.monotonic())
+        self._count_pool("discarded", discarded)
+        while True:
+            reused = conn is not None
+            if reused:
+                self._count_pool("reused")
+            else:
+                conn = http.client.HTTPConnection(record.host, record.port)
+                conn.auto_open = 0  # never reconnect behind the relay's back
+                conn.sock = connect()
+                self._count_pool("opened")
             try:
-                sock = socks_connect(relay_addr, record.host, record.port, timeout)
-            except (SocksError, OSError) as exc:
-                raise DeviceUnavailable(f"relay connect failed: {exc}")
-        else:
-            raise DeviceUnavailable(
-                f"device {record.device_id} is {candidates[0].family}-only, "
-                f"client leg is {listener_family}, and the relay is disabled"
-            )
-        return self._http_over_socket(sock, record, method, path, body, timeout)
+                status, content_type, data = self._exchange(conn, method, path, body)
+            except _Unanswered:
+                conn.close()
+                if reused and method in _RETRYABLE_METHODS:
+                    self._count_pool("discarded")
+                    conn = None
+                    continue
+                raise
+            except BaseException:
+                conn.close()
+                raise
+            if conn.sock is None:  # the device asked to close (will_close)
+                conn.close()
+            elif not record.pool.give(leg, conn, time.monotonic()):
+                self._count_pool("discarded")
+            return status, content_type, data
 
-    def _http_over_socket(
-        self,
-        sock: socket.socket,
-        record: DeviceRecord,
-        method: str,
-        path: str,
-        body: bytes,
-        timeout: float,
-    ) -> tuple[int, str, bytes]:
-        sock.settimeout(timeout)
-        conn = http.client.HTTPConnection(record.host, record.port, timeout=timeout)
-        conn.sock = sock
+    @staticmethod
+    def _exchange(conn: http.client.HTTPConnection, method: str, path: str, body: bytes):
+        headers = {"Content-Type": "application/json"} if body else {}
         try:
-            headers = {"Connection": "close"}
-            if body:
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=body if body else None, headers=headers)
+            try:
+                conn.request(method, path, body=body if body else None, headers=headers)
+                if not conn.sock.recv(1, socket.MSG_PEEK):
+                    raise _Unanswered("device closed the connection without answering")
+            except ConnectionError as exc:
+                raise _Unanswered(f"device connection failed: {exc}")
             resp = conn.getresponse()
             data = resp.read()
             return resp.status, resp.getheader("Content-Type", "application/json"), data
         except (socket.timeout, TimeoutError) as exc:
             raise DeviceTimeout(f"device timed out: {exc}")
-        except (ConnectionError, BrokenPipeError, OSError) as exc:
+        except OSError as exc:
             # RemoteDisconnected subclasses ConnectionResetError: a device that
             # died mid-response lands here, not in the protocol-error bucket.
             raise DeviceUnavailable(f"device connection failed: {exc}")
         except http.client.HTTPException as exc:
             raise DeviceProtocolError(f"malformed HTTP from device: {exc}")
-        finally:
-            conn.close()
+
+    def _count_pool(self, name: str, n: int = 1) -> None:
+        if n:
+            with self._stats_lock:
+                self.pool_counts[name] += n
 
     # -- the pipeline --
 
@@ -454,45 +578,51 @@ class Gateway:
         )
         key = CacheKey.for_request(device_id, method, device_path, body)
 
-        owner_event: threading.Event | None = None
+        flight: _Flight | None = None
         if cacheable and not bypass:
             entry = self.cache.get(key, time.monotonic())
             if entry is not None:
                 return self._device_response(record, entry.status, entry.body, "hit", count_client=len(body))
-            owner_event = self._claim_inflight(key)
-            if owner_event is None:
-                # another handler is already filling this key
-                entry = self._await_inflight(key)
-                if entry is not None:
-                    return self._device_response(record, entry.status, entry.body, "hit", count_client=len(body))
+            flight = self._claim_inflight(key)
+            if flight is None:
+                # another handler is already forwarding this key: share its answer
+                shared = self._await_inflight(key)
+                if shared is not None:
+                    status, headers, payload = shared
+                    if ("X-WoT-Cache", "miss") not in headers:
+                        return shared  # an outage or protocol error, passed on as is
+                    return self._device_response(record, status, payload, "hit", count_client=len(body))
         try:
-            return self._forward_pipeline(
+            response = self._forward_pipeline(
                 record, method, device_path, body, parsed_body, body_is_json,
                 listener_family, cacheable, key,
             )
+            if flight is not None:
+                flight.response = response
+            return response
         finally:
-            if owner_event is not None:
-                self._release_inflight(key, owner_event)
+            if flight is not None:
+                self._release_inflight(key, flight)
 
-    def _claim_inflight(self, key: CacheKey) -> threading.Event | None:
+    def _claim_inflight(self, key: CacheKey) -> _Flight | None:
         with self._inflight_lock:
             if key in self._inflight:
                 return None
-            event = threading.Event()
-            self._inflight[key] = event
-            return event
+            flight = self._inflight[key] = _Flight()
+            return flight
 
-    def _await_inflight(self, key: CacheKey) -> CacheEntry | None:
+    def _await_inflight(self, key: CacheKey):
+        """The response of the request filling ``key``; None if it failed or took too long."""
         with self._inflight_lock:
-            event = self._inflight.get(key)
-        if event is None or not event.wait(self.config.request_timeout_seconds + 1.0):
+            flight = self._inflight.get(key)
+        if flight is None or not flight.done.wait(self.config.request_timeout_seconds + 1.0):
             return None
-        return self.cache.get(key, time.monotonic())
+        return flight.response
 
-    def _release_inflight(self, key: CacheKey, event: threading.Event) -> None:
+    def _release_inflight(self, key: CacheKey, flight: _Flight) -> None:
         with self._inflight_lock:
             self._inflight.pop(key, None)
-        event.set()
+        flight.done.set()
 
     def _forward_pipeline(
         self,
@@ -517,17 +647,17 @@ class Gateway:
                 record, method, device_path, body_out, listener_family
             )
         except DeviceTimeout:
-            self._note_forward_failure(record)
+            self._note_health(record, False)
             return self._outage_response(record, status=504, label="device_timeout")
         except DeviceUnavailable:
-            self._note_forward_failure(record)
+            self._note_health(record, False)
             return self._outage_response(record)
         except DeviceProtocolError as exc:
             return self._json_response(
                 502, {"error": "device_protocol_error", "device": record.device_id, "detail": str(exc)},
                 device=record,
             )
-        self._note_forward_success(record)
+        self._note_health(record, True)
         with self._stats_lock:
             self.device_leg_bytes += len(body_out) + len(raw)
 
@@ -619,11 +749,13 @@ class Gateway:
                 "client_leg_bytes": self.client_leg_bytes,
                 "device_leg_bytes": self.device_leg_bytes,
             }
+            pool = dict(self.pool_counts)
         return {
             **totals,
             "cache": self.cache.stats(),
             "guard": self.guard.stats(now),
             "relay": self.relay.stats.snapshot() if self.relay else None,
+            "pool": pool,
             "devices": {r.device_id: r.health for r in self.registry.all()},
         }
 
@@ -631,6 +763,9 @@ class Gateway:
 class _GatewayServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+    # socketserver's default backlog of 5 drops the SYNs of a burst of new
+    # clients, which then retry a second later
+    request_queue_size = 128
 
     def __init__(self, bind: tuple[str, int], family: int, gateway: Gateway, listener_family: str):
         self.address_family = family
@@ -650,17 +785,22 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):
         log.debug("%s %s", self.address_string(), fmt % args)
 
-    def _read_body(self) -> bytes | None:
+    def _read_body(self) -> bytes | tuple:
+        """The request body, or the (status, headers, payload) of an error reply."""
+        json_type = ("Content-Type", "application/json")
         if self.headers.get("Transfer-Encoding", "").lower() == "chunked":
-            return None
-        length = int(self.headers.get("Content-Length", "0") or "0")
+            return 411, [json_type], b'{"error":"length_required"}'
+        length = self.headers.get("Content-Length", "") or "0"
+        if not (length.isascii() and length.isdigit()):
+            # the body's end is unknown, so the rest of the stream is unusable
+            return 400, [json_type, ("Connection", "close")], b'{"error":"bad_content_length"}'
+        length = int(length)
         return self.rfile.read(length) if length else b""
 
     def _dispatch(self):
         body = self._read_body()
-        if body is None:
-            self._write_response(411, [("Content-Type", "application/json")],
-                                 b'{"error":"length_required"}')
+        if isinstance(body, tuple):
+            self._write_response(*body)
             return
         gateway: Gateway = self.server.gateway
         try:

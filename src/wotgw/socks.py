@@ -352,8 +352,13 @@ class SocksRelayServer:
         self._running = False
         for sock in self._listeners.values():
             with suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
+            with suppress(OSError):
                 sock.close()
         self._listeners.clear()
+        for t in self._threads:
+            t.join(timeout=5)
+        self._threads.clear()
 
     def listen_address(self, family: str) -> tuple[str, int] | None:
         sock = self._listeners.get(family)

@@ -1,5 +1,6 @@
 import http.client
 import random
+import socket
 import time
 
 import pytest
@@ -193,6 +194,19 @@ class TestLiveSimulator:
         sim.inject_behavior(failure_rate=0.0)
         status, _ = _request(sim.address, "GET", "/status")
         assert status == 200
+
+    def test_stop_drops_idle_keep_alive_connections(self):
+        sim = DeviceSimulator(power_save_idle=0.0).start()
+        sock = socket.create_connection(sim.address, timeout=5.0)
+        try:
+            sock.sendall(b"GET /status HTTP/1.1\r\nHost: sim\r\n\r\n")
+            reply = b""
+            while not reply.endswith(b'{"status":"ok"}'):
+                reply += sock.recv(4096)
+            sim.stop()
+            assert sock.recv(4096) == b""  # EOF, not a handler left serving
+        finally:
+            sock.close()
 
     def test_invalid_failure_rate_rejected(self, sim):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import contextlib
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -16,6 +17,7 @@ from wotgw.gateway import (
     DeviceRegistry,
     DuplicateDeviceError,
     Gateway,
+    IdlePool,
     _normalize_client_ip,
 )
 
@@ -134,6 +136,52 @@ class TestRegistry:
             assert gw.cache.get(key, time.monotonic()) is not None
             gw.register_device_config(power_device(sim_v4), replace=True)
             assert gw.cache.get(key, time.monotonic()) is None
+
+
+class _PairConn:
+    """Stands in for a pooled HTTPConnection: one end of a socket pair."""
+
+    def __init__(self):
+        self.sock, self.peer = socket.socketpair()
+        self.closed = False
+
+    def close(self):
+        self.closed = True
+        self.sock.close()
+        self.peer.close()
+
+
+class TestIdlePool:
+    def test_lifo_and_cap(self):
+        pool = IdlePool(max_idle=2)
+        conns = [_PairConn() for _ in range(3)]
+        assert [pool.give("leg", c, 0.0) for c in conns] == [True, True, False]
+        assert conns[2].closed
+        assert pool.take("leg", 1.0) == (conns[1], 0)
+        assert pool.take("other", 1.0) == (None, 0)
+        conns[1].close()
+        assert pool.close() == 1
+
+    def test_expired_and_unquiet_connections_are_discarded(self):
+        pool = IdlePool(max_idle=2, idle_seconds=5.0)
+        old, chatty = _PairConn(), _PairConn()
+        pool.give("leg", old, 0.0)
+        pool.give("leg", chatty, 4.0)
+        chatty.peer.sendall(b"stray")
+        assert pool.take("leg", 6.0) == (None, 2)
+        assert old.closed and chatty.closed
+
+    def test_sweep_and_close(self):
+        pool = IdlePool(max_idle=2, idle_seconds=5.0)
+        old, fresh = _PairConn(), _PairConn()
+        pool.give("leg", old, 0.0)
+        pool.give("leg", fresh, 4.0)
+        assert pool.sweep(6.0) == 1
+        assert old.closed and not fresh.closed
+        assert pool.close() == 1
+        late = _PairConn()
+        assert pool.give("leg", late, 7.0) is False  # handed back after close
+        assert fresh.closed and late.closed
 
 
 class TestNormalizeClientIp:
@@ -263,6 +311,27 @@ class TestRouting:
                 sock.close()
 
 
+    @pytest.mark.parametrize("length", [b"abc", b"-1"])
+    def test_malformed_content_length_is_400(self, sim_v4, length):
+        cfg = make_config([power_device(sim_v4)])
+        with running(cfg) as gw:
+            sock = socket.create_connection(gw.listen_address("v4"), timeout=5.0)
+            try:
+                sock.sendall(
+                    b"POST /devices/power/power HTTP/1.1\r\n"
+                    b"Host: gw\r\nContent-Length: " + length + b"\r\n\r\n"
+                )
+                reply = b""
+                while chunk := sock.recv(4096):  # the gateway closes after replying
+                    reply += chunk
+            finally:
+                sock.close()
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert b" 400 " in head.splitlines()[0]
+            assert body == b'{"error":"bad_content_length"}'
+            assert sim_v4.request_count == 0
+
+
 class TestCachePolicy:
     def test_no_cache_header_bypasses_and_refreshes(self, sim_v4):
         cfg = make_config([power_device(sim_v4)])
@@ -348,6 +417,34 @@ class TestCachePolicy:
             assert len(results) == 8
             assert all(status == 200 for status, _, _ in results)
             assert all(body == b'{"status":"ok"}' for _, _, body in results)
+            assert sim_v4.request_count == 1
+
+
+    def test_concurrent_errors_coalesce_to_one_device_request(self, sim_v4):
+        # errors are not cached, so a request arriving after the first one
+        # finished would reach the device again: start all ten together and
+        # keep the device slow enough that they overlap
+        sim_v4.inject_behavior(latency=1.0)
+        cfg = make_config([power_device(sim_v4)])
+        with running(cfg) as gw:
+            addr = gw.listen_address("v4")
+            results = []
+            lock = threading.Lock()
+            start = threading.Barrier(10)
+
+            def worker():
+                start.wait(timeout=10)
+                got = _request(addr, "GET", "/devices/power/nowhere")
+                with lock:
+                    results.append(got)
+
+            threads = [threading.Thread(target=worker) for _ in range(10)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert [status for status, _, _ in results] == [404] * 10
+            assert all(codec.parse_json(body) == {"error": "not_found"} for _, _, body in results)
             assert sim_v4.request_count == 1
 
 
@@ -491,6 +588,185 @@ class TestHealthAndOutage:
             status, _, body = _request(addr, "GET", "/devices/power/status")
             assert status == 503
             assert codec.parse_json(body)["status"] == "device_unavailable"
+
+
+class _AnswerOnceServer:
+    """Answers the first request on each connection, then closes it unanswered.
+
+    Keeps the connection open after the first answer, like a keep-alive
+    device that dies while the gateway holds it idle.
+    """
+
+    def __init__(self):
+        self.sock = socket.socket()
+        self.sock.bind(("127.0.0.1", 0))
+        self.sock.listen(8)
+        self.connections = 0
+        threading.Thread(target=self._loop, daemon=True).start()
+
+    @property
+    def address(self):
+        return self.sock.getsockname()[:2]
+
+    def _loop(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return
+            self.connections += 1
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    @staticmethod
+    def _serve(conn):
+        with conn, contextlib.suppress(OSError):
+            data = b""
+            while b"\r\n\r\n" not in data:
+                data += conn.recv(4096)
+            head, _, body = data.partition(b"\r\n\r\n")
+            length = [int(line.split(b":")[1]) for line in head.lower().splitlines()
+                      if line.startswith(b"content-length:")]
+            while len(body) < sum(length):
+                body += conn.recv(4096)
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                         b"Content-Length: 15\r\n\r\n" + b'{"status":"ok"}')
+            conn.recv(4096)  # the second request, never answered
+
+    def close(self):
+        with contextlib.suppress(OSError):
+            self.sock.close()
+
+
+class TestDeviceLegPool:
+    def test_cross_family_posts_share_a_tunnel(self, sim_v6):
+        cfg = make_config([power_device(sim_v6)], cache_enabled=False)
+        with running(cfg) as gw:
+            addr = gw.listen_address("v4")
+            for _ in range(20):
+                status, _, body = _request(addr, "POST", "/devices/power/power", QUERY_LONG)
+                assert status == 200
+                assert body == TWO_DEVICE_LONG
+            assert sim_v6.request_count == 20
+            assert gw.relay.stats.snapshot()["sessions_total"] <= 2
+            status, _, body = _request(addr, "GET", "/admin/stats")
+            pool = codec.parse_json(body)["pool"]
+            assert set(pool) == {"opened", "reused", "discarded"}
+            assert pool["reused"] >= 18
+            assert pool["opened"] + pool["reused"] == 20
+
+    def test_concurrent_forwards_keep_pool_counts_and_cap(self, sim_v4, sim_v6):
+        cfg = make_config([power_device(sim_v4, "four"), power_device(sim_v6, "six")],
+                          cache_enabled=False)
+        workers, each = 8, 10
+        statuses = []
+        lock = threading.Lock()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with running(cfg) as gw:
+                addr = gw.listen_address("v4")
+
+                def worker(device):
+                    got = [_request(addr, "GET", f"/devices/{device}/status")[0]
+                           for _ in range(each)]
+                    with lock:
+                        statuses.extend(got)
+
+                threads = [threading.Thread(target=worker, args=("four" if i % 2 else "six",))
+                           for i in range(workers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                pool = gw.stats()["pool"]
+                idle = [len(conns) for record in gw.registry.all()
+                        for conns in record.pool._idle.values()]
+        finally:
+            sys.setswitchinterval(switch)
+        assert statuses == [200] * workers * each
+        assert sim_v4.request_count + sim_v6.request_count == workers * each
+        assert pool["opened"] + pool["reused"] == workers * each
+        assert pool["opened"] - pool["discarded"] == sum(idle)
+        assert all(n <= 2 for n in idle)
+
+    def test_stop_and_replace_close_pooled_connections(self, sim_v4, sim_v6):
+        cfg = make_config([power_device(sim_v4, "four"), power_device(sim_v6, "six")],
+                          cache_enabled=False)
+        before_gateway = threading.active_count()
+        gw = Gateway(cfg).start()
+        try:
+            baseline = threading.active_count()
+            addr = gw.listen_address("v4")
+
+            def pooled_sockets():
+                return [conn.sock for record in gw.registry.all()
+                        for idle in record.pool._idle.values() for conn, _ in idle]
+
+            def fill():
+                for device in ("four", "six"):  # one direct leg, one relay tunnel
+                    assert _request(addr, "GET", f"/devices/{device}/status")[0] == 200
+                socks = pooled_sockets()
+                assert len(socks) == 2
+                assert threading.active_count() > baseline
+                return socks
+
+            socks = fill()
+            for device, sim in (("four", sim_v4), ("six", sim_v6)):
+                gw.register_device_config(power_device(sim, device), replace=True)
+            assert all(sock.fileno() == -1 for sock in socks)
+            assert _wait_for(lambda: threading.active_count() == baseline)
+
+            socks = fill()
+        finally:
+            gw.stop()
+        assert all(sock.fileno() == -1 for sock in socks)
+        assert _wait_for(lambda: threading.active_count() == before_gateway)
+
+    def test_connection_closed_while_idle_is_not_reused(self):
+        sim = DeviceSimulator(bind=("127.0.0.1", 0), power_save_idle=0.0).start()
+        port = sim.address[1]
+        cfg = make_config([power_device(sim)], cache_enabled=False)
+        with running(cfg) as gw:
+            addr = gw.listen_address("v4")
+            assert _request(addr, "GET", "/devices/power/status")[0] == 200
+            sim.stop()  # drops the connection the gateway holds idle
+            sim = DeviceSimulator(bind=("127.0.0.1", port), power_save_idle=0.0).start()
+            try:
+                assert _request(addr, "GET", "/devices/power/status")[0] == 200
+                assert sim.request_count == 1
+            finally:
+                sim.stop()
+            assert gw.stats()["pool"] == {"opened": 2, "reused": 0, "discarded": 1}
+
+    def test_reused_get_is_retried_once_on_a_new_connection(self):
+        device = _AnswerOnceServer()
+        cfg = make_config([DeviceConfig(device_id="d", endpoint=format_hostport(*device.address))],
+                          cache_enabled=False)
+        try:
+            with running(cfg) as gw:
+                addr = gw.listen_address("v4")
+                assert _request(addr, "GET", "/devices/d/status")[0] == 200
+                assert _request(addr, "GET", "/devices/d/status")[0] == 200
+                assert device.connections == 2
+                assert gw.stats()["pool"] == {"opened": 2, "reused": 1, "discarded": 1}
+        finally:
+            device.close()
+
+    def test_reused_post_is_never_retried(self):
+        device = _AnswerOnceServer()
+        cfg = make_config([DeviceConfig(device_id="d", endpoint=format_hostport(*device.address))],
+                          cache_enabled=False)
+        try:
+            with running(cfg) as gw:
+                addr = gw.listen_address("v4")
+                assert _request(addr, "POST", "/devices/d/status", b"{}")[0] == 200
+                status, _, body = _request(addr, "POST", "/devices/d/status", b"{}")
+                assert status == 503
+                assert codec.parse_json(body)["status"] == "device_unavailable"
+                assert device.connections == 1
+        finally:
+            device.close()
 
 
 class _CannedServer:
