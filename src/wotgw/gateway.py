@@ -92,9 +92,7 @@ class IdlePool:
     closes whatever is handed back to it.
     """
 
-    def __init__(self, max_idle: int = POOL_MAX_IDLE, idle_seconds: float = POOL_IDLE_SECONDS):
-        self.max_idle = max_idle
-        self.idle_seconds = idle_seconds
+    def __init__(self):
         self._idle: dict[tuple, list[tuple[http.client.HTTPConnection, float]]] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -108,7 +106,7 @@ class IdlePool:
                 if not idle:
                     return None, discarded
                 conn, since = idle.pop()
-            if now - since <= self.idle_seconds and not _readable(conn.sock):
+            if now - since <= POOL_IDLE_SECONDS and not _readable(conn.sock):
                 return conn, discarded
             conn.close()
             discarded += 1
@@ -117,7 +115,7 @@ class IdlePool:
         """Keep ``conn`` for reuse, or close it when the pool is full or closed."""
         with self._lock:
             idle = self._idle.setdefault(leg, [])
-            if not self._closed and len(idle) < self.max_idle:
+            if not self._closed and len(idle) < POOL_MAX_IDLE:
                 idle.append((conn, now))
                 return True
         conn.close()
@@ -125,7 +123,7 @@ class IdlePool:
 
     def sweep(self, now: float) -> int:
         """Close idle connections past their age limit; returns how many."""
-        return self._drop(lambda since: now - since > self.idle_seconds)
+        return self._drop(lambda since: now - since > POOL_IDLE_SECONDS)
 
     def close(self) -> int:
         """Close every idle connection and refuse later ones; returns how many."""

@@ -16,6 +16,8 @@ from wotgw.gateway import (
     DeviceRecord,
     DeviceRegistry,
     DuplicateDeviceError,
+    POOL_IDLE_SECONDS,
+    POOL_MAX_IDLE,
     Gateway,
     IdlePool,
     _normalize_client_ip,
@@ -153,7 +155,8 @@ class _PairConn:
 
 class TestIdlePool:
     def test_lifo_and_cap(self):
-        pool = IdlePool(max_idle=2)
+        assert POOL_MAX_IDLE == 2
+        pool = IdlePool()
         conns = [_PairConn() for _ in range(3)]
         assert [pool.give("leg", c, 0.0) for c in conns] == [True, True, False]
         assert conns[2].closed
@@ -163,24 +166,24 @@ class TestIdlePool:
         assert pool.close() == 1
 
     def test_expired_and_unquiet_connections_are_discarded(self):
-        pool = IdlePool(max_idle=2, idle_seconds=5.0)
+        pool = IdlePool()
         old, chatty = _PairConn(), _PairConn()
         pool.give("leg", old, 0.0)
-        pool.give("leg", chatty, 4.0)
+        pool.give("leg", chatty, 1.0)
         chatty.peer.sendall(b"stray")
-        assert pool.take("leg", 6.0) == (None, 2)
+        assert pool.take("leg", POOL_IDLE_SECONDS + 0.5) == (None, 2)
         assert old.closed and chatty.closed
 
     def test_sweep_and_close(self):
-        pool = IdlePool(max_idle=2, idle_seconds=5.0)
+        pool = IdlePool()
         old, fresh = _PairConn(), _PairConn()
         pool.give("leg", old, 0.0)
-        pool.give("leg", fresh, 4.0)
-        assert pool.sweep(6.0) == 1
+        pool.give("leg", fresh, 1.0)
+        assert pool.sweep(POOL_IDLE_SECONDS + 0.5) == 1
         assert old.closed and not fresh.closed
         assert pool.close() == 1
         late = _PairConn()
-        assert pool.give("leg", late, 7.0) is False  # handed back after close
+        assert pool.give("leg", late, 2.0) is False  # handed back after close
         assert fresh.closed and late.closed
 
 
