@@ -11,12 +11,27 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Any
 
 from wotgw import codec
 
 DEFAULT_MAX_ENTRIES = 1024
 DEFAULT_MAX_BYTES = 8 * 1024 * 1024
 DEFAULT_TTL_SECONDS = 5.0
+
+# parse_body's answer for an empty or non-JSON body, which is digested raw.
+NOT_JSON = object()
+_UNPARSED = object()
+
+
+def parse_body(body: bytes) -> Any:
+    """The request body's JSON document, or NOT_JSON."""
+    if body:
+        try:
+            return codec.parse_json(body)
+        except (ValueError, TypeError):
+            pass
+    return NOT_JSON
 
 
 @dataclass(frozen=True)
@@ -27,15 +42,19 @@ class CacheKey:
     body_digest: str
 
     @classmethod
-    def for_request(cls, device_id: str, method: str, path: str, body: bytes) -> "CacheKey":
-        """Build a key whose body digest ignores JSON whitespace and key order."""
-        if body:
-            try:
-                digest = codec.digest_value(codec.parse_json(body))
-            except (ValueError, TypeError):
-                digest = codec.digest_bytes(body)
-        else:
-            digest = codec.digest_bytes(b"")
+    def for_request(
+        cls, device_id: str, method: str, path: str, body: bytes, doc: Any = _UNPARSED
+    ) -> "CacheKey":
+        """Build a key whose body digest ignores JSON whitespace and key order.
+
+        ``doc`` is ``parse_body(body)`` when the caller has it already.
+        """
+        if doc is _UNPARSED:
+            doc = parse_body(body)
+        try:
+            digest = codec.digest_bytes(body) if doc is NOT_JSON else codec.digest_value(doc)
+        except (ValueError, TypeError):
+            digest = codec.digest_bytes(body)
         return cls(device_id, method.upper(), path, digest)
 
 

@@ -2,8 +2,7 @@
 
 Object keys equal to a dictionary long name are replaced by the short code
 on the device-bound path and restored on the client-bound path. Values are
-never rewritten. The hot tree-rewrite runs in a compiled extension when it
-was built, with a pure-Python fallback selected at import time.
+never rewritten.
 """
 
 from __future__ import annotations
@@ -13,21 +12,12 @@ import json
 import math
 from typing import Any, Iterable
 
-try:
-    from wotgw._kernel_cy import rewrite_keys as _rewrite_keys
-
-    _KERNEL = "compiled"
-except ImportError:
-    from wotgw._kernel_py import rewrite_keys as _rewrite_keys
-
-    _KERNEL = "pure"
-
 _EMPTY = frozenset()
 
 
 def active_kernel() -> str:
-    """Name of the key-rewrite kernel in use: 'compiled' or 'pure'."""
-    return _KERNEL
+    """Name of the key-rewrite implementation; there is only the pure-Python one."""
+    return "pure"  # kept: perfbench/run.py records it in every benchmark report
 
 
 class MappingError(ValueError):
@@ -181,6 +171,25 @@ def encode_keys(doc: Any, mapping: MappingDictionary) -> Any:
 def decode_keys(doc: Any, mapping: MappingDictionary) -> Any:
     """Replace short-code object keys with their long names; unknown keys pass through."""
     return _rewrite_keys(doc, mapping.to_long, _EMPTY)
+
+
+def _rewrite_keys(value: Any, table: dict, forbidden: frozenset) -> Any:
+    """Return a copy of ``value`` with every object key mapped through ``table``.
+
+    Keys absent from ``table`` are kept as-is. A key present in ``forbidden``
+    raises ValueError carrying the offending key (the caller renders the
+    path). Lists and objects are rebuilt, leaf values are shared.
+    """
+    if isinstance(value, dict):
+        out = {}
+        for key, sub in value.items():
+            if key in forbidden:
+                raise ValueError(key)
+            out[table.get(key, key)] = _rewrite_keys(sub, table, forbidden)
+        return out
+    if isinstance(value, list):
+        return [_rewrite_keys(item, table, forbidden) for item in value]
+    return value
 
 
 def _find_key_path(value: Any, key: str, forbidden: frozenset, path: str = "") -> str:

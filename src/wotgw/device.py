@@ -199,7 +199,7 @@ class _SimServer(ThreadingHTTPServer):
         self.address_family = family
         self.simulator = simulator
         self._open: set[socket.socket] = set()
-        self._open_lock = threading.Lock()
+        self._open_lock = threading.Condition()
         super().__init__(bind, _SimHandler)
 
     def process_request(self, request, client_address):
@@ -208,17 +208,21 @@ class _SimServer(ThreadingHTTPServer):
         super().process_request(request, client_address)
 
     def shutdown_request(self, request):
+        super().shutdown_request(request)
         with self._open_lock:
             self._open.discard(request)
-        super().shutdown_request(request)
+            self._open_lock.notify_all()
 
-    def drop_connections(self) -> None:
-        """Shut down every accepted connection, idle keep-alive ones included."""
+    def drop_connections(self, timeout: float) -> None:
+        """Shut down every accepted connection, idle keep-alive ones included,
+        and wait up to ``timeout`` for their handler threads to finish."""
         with self._open_lock:
             conns = list(self._open)
         for conn in conns:
             with suppress(OSError):
                 conn.shutdown(socket.SHUT_RDWR)
+        with self._open_lock:
+            self._open_lock.wait_for(lambda: not self._open, timeout)
 
 
 class DeviceSimulator:
@@ -279,7 +283,7 @@ class DeviceSimulator:
         """Stop listening and drop open connections, so peers see EOF."""
         self._server.shutdown()
         self._server.server_close()
-        self._server.drop_connections()
+        self._server.drop_connections(timeout=5)
         if self._thread:
             self._thread.join(timeout=5)
 

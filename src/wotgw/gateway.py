@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from wotgw import codec
-from wotgw.cache import CacheEntry, CacheKey, ResponseCache
+from wotgw.cache import NOT_JSON, CacheEntry, CacheKey, ResponseCache, parse_body
 from wotgw.config import DeviceConfig, GatewayConfig, parse_hostport
 from wotgw.guard import DosGuard
 from wotgw.socks import (
@@ -55,6 +55,8 @@ POOL_IDLE_SECONDS = 10.0
 # Methods retried once on a fresh connection when a reused one dies before
 # answering (RFC 9112 section 9.3.1); never POST.
 _RETRYABLE_METHODS = frozenset(("GET", "HEAD"))
+# Largest client request body read; a longer declared Content-Length gets 413.
+MAX_BODY_BYTES = 1024 * 1024
 
 
 class DuplicateDeviceError(ValueError):
@@ -174,10 +176,6 @@ class DeviceRegistry:
         self._devices: dict[str, DeviceRecord] = {}
         self._lock = threading.Lock()
 
-    def register(self, record: DeviceRecord, replace: bool = False) -> bool:
-        """Add a device; returns True when an existing record was replaced."""
-        return self.swap(record, replace) is not None
-
     def swap(self, record: DeviceRecord, replace: bool = False) -> DeviceRecord | None:
         """Add a device; returns the record it replaced, if any."""
         with self._lock:
@@ -231,6 +229,7 @@ class Gateway:
             window_seconds=config.dos_window_seconds,
             repeat_limit=config.dos_repeat_limit,
             block_seconds=config.dos_block_seconds,
+            idle_purge_seconds=config.dos_idle_purge_seconds,
         )
         self.resolver = self._build_resolver(config.socks_resolver)
         self.relay: SocksRelayServer | None = None
@@ -356,7 +355,6 @@ class Gateway:
                 except Exception:
                     log.exception("probe failed for %s", record.device_id)
                 self._count_pool("discarded", record.pool.sweep(now))
-            self.guard.purge_idle(now, self.config.dos_idle_purge_seconds)
 
     def probe_device(self, device_id: str) -> str:
         """Issue the device's health request and update its health state."""
@@ -559,25 +557,17 @@ class Gateway:
         if record.health == HEALTH_DOWN:
             return self._outage_response(record)
 
-        parsed_body = None
-        body_is_json = False
-        if body:
-            try:
-                parsed_body = codec.parse_json(body)
-                body_is_json = True
-            except (ValueError, TypeError):
-                body_is_json = False
-
+        doc = parse_body(body)
         cache_control = (headers.get("Cache-Control") or headers.get("Pragma") or "").lower()
         bypass = "no-cache" in cache_control
-        cacheable = (
-            self.config.cache_enabled
-            and (method == "GET" or (method == "POST" and body_is_json))
-        )
-        key = CacheKey.for_request(device_id, method, device_path, body)
+        key = None  # set only when the request is cacheable
+        if self.config.cache_enabled and (
+            method == "GET" or (method == "POST" and doc is not NOT_JSON)
+        ):
+            key = CacheKey.for_request(device_id, method, device_path, body, doc)
 
         flight: _Flight | None = None
-        if cacheable and not bypass:
+        if key is not None and not bypass:
             entry = self.cache.get(key, time.monotonic())
             if entry is not None:
                 return self._device_response(record, entry.status, entry.body, "hit", count_client=len(body))
@@ -592,8 +582,7 @@ class Gateway:
                     return self._device_response(record, status, payload, "hit", count_client=len(body))
         try:
             response = self._forward_pipeline(
-                record, method, device_path, body, parsed_body, body_is_json,
-                listener_family, cacheable, key,
+                record, method, device_path, body, doc, listener_family, key
             )
             if flight is not None:
                 flight.response = response
@@ -628,14 +617,12 @@ class Gateway:
         method: str,
         device_path: str,
         body: bytes,
-        parsed_body,
-        body_is_json: bool,
+        doc,
         listener_family: str,
-        cacheable: bool,
-        key: CacheKey,
+        key: CacheKey | None,
     ) -> tuple[int, list[tuple[str, str]], bytes]:
-        if body_is_json:
-            coded = codec.encode_keys(parsed_body, record.mapping)
+        if doc is not NOT_JSON:
+            coded = codec.encode_keys(doc, record.mapping)
             body_out = codec.canonical_bytes(coded)
         else:
             body_out = body
@@ -674,7 +661,7 @@ class Gateway:
                     )
                 # non-2xx with a non-JSON body passes through untouched
 
-        if cacheable and 200 <= status < 300:
+        if key is not None and 200 <= status < 300:
             ttl = record.ttl if record.ttl is not None else self.cache.default_ttl
             self.cache.put(key, CacheEntry(status, decoded, time.monotonic(), ttl))
 
@@ -792,8 +779,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         if not (length.isascii() and length.isdigit()):
             # the body's end is unknown, so the rest of the stream is unusable
             return 400, [json_type, ("Connection", "close")], b'{"error":"bad_content_length"}'
-        length = int(length)
-        return self.rfile.read(length) if length else b""
+        # digit count first: int() refuses strings of more than 4300 digits
+        digits = length.lstrip("0")
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits or 0) > MAX_BODY_BYTES:
+            # answered before reading, so the unread body makes the stream unusable
+            return 413, [json_type, ("Connection", "close")], b'{"error":"body_too_large"}'
+        return self.rfile.read(int(digits)) if digits else b""
 
     def _dispatch(self):
         body = self._read_body()

@@ -5,6 +5,8 @@ Two detectors, both configurable: a sliding-window rate limit (more than
 consecutive-identical-request burst limit (``repeat_limit``). A tripped
 detector blocks the client for ``block_seconds``; the block resets the
 client's window when it expires. Clients are independent of each other.
+State of clients idle for ``idle_purge_seconds`` is dropped on the request
+path, at most once per that horizon.
 """
 
 from __future__ import annotations
@@ -50,11 +52,14 @@ class DosGuard:
         window_seconds: float = DEFAULT_WINDOW_SECONDS,
         repeat_limit: int = DEFAULT_REPEAT_LIMIT,
         block_seconds: float = DEFAULT_BLOCK_SECONDS,
+        idle_purge_seconds: float = DEFAULT_IDLE_PURGE_SECONDS,
     ):
         self.rate_limit = rate_limit
         self.window_seconds = window_seconds
         self.repeat_limit = repeat_limit
         self.block_seconds = block_seconds
+        self.idle_purge_seconds = idle_purge_seconds
+        self._next_purge = float("-inf")
         self._clients: dict[str, ClientRateState] = {}
         self._lock = threading.Lock()
         self.blocked_total = 0
@@ -67,6 +72,9 @@ class DosGuard:
         fresh.
         """
         with self._lock:
+            if now >= self._next_purge:
+                self._purge_locked(now, self.idle_purge_seconds)
+                self._next_purge = now + self.idle_purge_seconds
             st = self._clients.get(client_id)
             if st is None:
                 st = self._clients[client_id] = ClientRateState()
@@ -111,15 +119,18 @@ class DosGuard:
     def purge_idle(self, now: float, idle_horizon: float = DEFAULT_IDLE_PURGE_SECONDS) -> int:
         """Drop state for clients idle beyond the horizon and not under an active block."""
         with self._lock:
-            doomed = [
-                cid
-                for cid, st in self._clients.items()
-                if st.last_seen < now - idle_horizon
-                and (st.blocked_until is None or st.blocked_until <= now)
-            ]
-            for cid in doomed:
-                del self._clients[cid]
-            return len(doomed)
+            return self._purge_locked(now, idle_horizon)
+
+    def _purge_locked(self, now: float, idle_horizon: float) -> int:
+        doomed = [
+            cid
+            for cid, st in self._clients.items()
+            if st.last_seen < now - idle_horizon
+            and (st.blocked_until is None or st.blocked_until <= now)
+        ]
+        for cid in doomed:
+            del self._clients[cid]
+        return len(doomed)
 
     @property
     def client_count(self) -> int:

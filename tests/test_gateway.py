@@ -121,14 +121,15 @@ class TestRegistry:
 
     def test_duplicate_rejected(self):
         reg = DeviceRegistry()
-        reg.register(self._record())
+        reg.swap(self._record())
         with pytest.raises(DuplicateDeviceError):
-            reg.register(self._record())
+            reg.swap(self._record())
 
     def test_replace_reports_existing(self):
         reg = DeviceRegistry()
-        assert reg.register(self._record()) is False
-        assert reg.register(self._record(), replace=True) is True
+        first = self._record()
+        assert reg.swap(first) is None
+        assert reg.swap(self._record(), replace=True) is first
 
     def test_replacement_invalidates_cached_responses(self, sim_v4):
         cfg = make_config([power_device(sim_v4)])
@@ -334,6 +335,27 @@ class TestRouting:
             assert body == b'{"error":"bad_content_length"}'
             assert sim_v4.request_count == 0
 
+    @pytest.mark.parametrize("length", [b"1000000000000000", b"9" * 5000], ids=["1e15", "5000-digits"])
+    def test_oversized_content_length_is_413_before_reading(self, sim_v4, length):
+        cfg = make_config([power_device(sim_v4)])
+        with running(cfg) as gw:
+            sock = socket.create_connection(gw.listen_address("v4"), timeout=5.0)
+            try:
+                sock.sendall(
+                    b"POST /devices/power/power HTTP/1.1\r\n"
+                    b"Host: gw\r\nContent-Length: " + length + b"\r\n\r\n" + QUERY_LONG
+                )
+                reply = b""
+                while chunk := sock.recv(4096):  # the gateway closes after replying
+                    reply += chunk
+            finally:
+                sock.close()
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert b" 413 " in head.splitlines()[0]
+            assert b"connection: close" in head.lower()
+            assert body == b'{"error":"body_too_large"}'
+            assert sim_v4.request_count == 0
+
 
 class TestCachePolicy:
     def test_no_cache_header_bypasses_and_refreshes(self, sim_v4):
@@ -387,6 +409,26 @@ class TestCachePolicy:
             for _ in range(3):
                 _request(addr, "GET", "/devices/power/status")
             assert sim_v4.request_count == 3
+
+    def test_json_body_is_parsed_once_per_request(self, sim_v4, monkeypatch):
+        parse = codec.parse_json
+        calls = []
+
+        def counting(data):
+            if sys._getframe(1).f_globals["__name__"] != "wotgw.device":  # the simulator's own
+                calls.append(data)
+            return parse(data)
+
+        monkeypatch.setattr(codec, "parse_json", counting)
+        with running(make_config([power_device(sim_v4)])) as gw:
+            addr = gw.listen_address("v4")
+            status, headers, _ = _request(addr, "POST", "/devices/power/power", QUERY_LONG)
+            assert (status, headers["X-WoT-Cache"]) == (200, "miss")
+            assert len(calls) == 2  # the request, then the device's reply
+            del calls[:]
+            status, headers, _ = _request(addr, "POST", "/devices/power/power", QUERY_LONG)
+            assert (status, headers["X-WoT-Cache"]) == (200, "hit")
+            assert len(calls) == 1
 
     def test_equivalent_json_bodies_share_entry(self, sim_v4):
         cfg = make_config([power_device(sim_v4)])

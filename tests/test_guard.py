@@ -90,6 +90,12 @@ class TestPurge:
     def test_empty_table(self):
         assert DosGuard().purge_idle(0.0, 1.0) == 0
 
+    def test_request_path_purges_idle_clients(self):
+        g = DosGuard(idle_purge_seconds=50.0)
+        g.record_and_check("a", "d", 0.0)
+        g.record_and_check("b", "d", 100.0)
+        assert g.client_count == 1
+
 
 class ReferenceGuard:
     """Stores every event and recomputes window counts per decision."""
