@@ -16,6 +16,7 @@ import logging
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 from contextlib import suppress
@@ -206,6 +207,13 @@ class _SimServer(ThreadingHTTPServer):
         with self._open_lock:
             self._open.add(request)
         super().process_request(request, client_address)
+
+    def handle_error(self, request, client_address):
+        # a peer that left, or stop() shutting the connection, mid-response
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            log.debug("connection from %s dropped mid-response", client_address)
+        else:
+            super().handle_error(request, client_address)
 
     def shutdown_request(self, request):
         super().shutdown_request(request)

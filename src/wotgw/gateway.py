@@ -7,26 +7,29 @@ family differs from the device's, forwarding goes through the SOCKS relay;
 matching families connect directly. Device-leg connections are persistent
 HTTP/1.1 and pooled per device and leg, so a relay tunnel carries many
 requests. Devices that stop answering are reported with a 503 outage body and
-probed back to health.
+probed back to health. Both legs speak HTTP/1.1 through one small framer in
+this module: ``_read_head`` parses every request and reply head.
 """
 
 from __future__ import annotations
 
-import http.client
 import ipaddress
 import json
 import logging
 import math
+import re
 import select
 import socket
+import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 
 from wotgw import codec
 from wotgw.cache import NOT_JSON, CacheEntry, CacheKey, ResponseCache, parse_body
-from wotgw.config import DeviceConfig, GatewayConfig, parse_hostport
+from wotgw.config import DeviceConfig, GatewayConfig, format_hostport, parse_hostport
 from wotgw.guard import DosGuard
 from wotgw.socks import (
     FAMILY_V4,
@@ -57,6 +60,21 @@ POOL_IDLE_SECONDS = 10.0
 _RETRYABLE_METHODS = frozenset(("GET", "HEAD"))
 # Largest client request body read; a longer declared Content-Length gets 413.
 MAX_BODY_BYTES = 1024 * 1024
+# Longest start or header line, its line ending included, and most header
+# fields in one head, on both legs; the standard library's HTTP modules use
+# the same caps.
+_MAX_LINE = 64 * 1024
+_MAX_HEADERS = 100
+# Methods the client leg serves; any other gets 501.
+_METHODS = frozenset(("GET", "POST", "PUT", "DELETE", "PATCH"))
+# Methods whose device-leg request carries Content-Length even when empty.
+_BODY_METHODS = frozenset(("POST", "PUT", "PATCH"))
+_VERSION = re.compile(r"HTTP/(\d)\.(\d)")
+# Spaces and control bytes never belong to a request target.
+_BAD_TARGET = re.compile(r"[\x00-\x20\x7f]")
+_BLANK = (b"\r\n", b"\n")
+_JSON_TYPE = ("Content-Type", "application/json")
+_STATUS_LINES = {int(s): b"HTTP/1.1 %d %s\r\n" % (s, s.phrase.encode()) for s in HTTPStatus}
 
 
 class DuplicateDeviceError(ValueError):
@@ -79,6 +97,211 @@ class DeviceProtocolError(Exception):
     """The device answered, but not with parseable HTTP/JSON."""
 
 
+class _FramingError(ValueError):
+    """A message the framer refuses. ``status`` is the client leg's answer;
+    the exception's message is the error name of its JSON body."""
+
+    def __init__(self, status: int, error: str):
+        super().__init__(error)
+        self.status = status
+
+
+class _Headers(dict):
+    """Header fields by lower-cased name; ``get`` takes any spelling."""
+
+    __slots__ = ()
+
+    def get(self, name, default=None):
+        return dict.get(self, name.lower(), default)
+
+
+def _read_fields(readline) -> _Headers:
+    """Read header fields up to the blank line that ends them (RFC 9112 section 5).
+
+    ``readline(limit)`` returns the next line, at most ``limit`` bytes of it,
+    as ``io.BufferedReader.readline`` does. Raises EOFError when the peer
+    closes first and _FramingError for an over-long line, more than
+    _MAX_HEADERS fields, obs-fold, whitespace before a colon, or two
+    different Content-Length values. Repeated fields are joined with ", ".
+    """
+    headers = _Headers()
+    for _ in range(_MAX_HEADERS + 1):
+        line = readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _FramingError(431, "line_too_long")
+        if line in _BLANK:
+            return headers
+        if line[-1:] != b"\n":
+            raise EOFError("peer closed inside a head")
+        name, colon, value = line.decode("latin-1").partition(":")
+        # a leading space or tab is obs-fold; one before the colon is also refused
+        if not colon or not name or " " in name or "\t" in name:
+            raise _FramingError(400, "bad_header")
+        name = name.lower()
+        value = value.strip(" \t\r\n")
+        if name in headers:
+            if name == "content-length":
+                if headers[name] != value:
+                    raise _FramingError(400, "bad_content_length")
+                continue
+            value = f"{headers[name]}, {value}"
+        headers[name] = value
+    raise _FramingError(431, "too_many_headers")
+
+
+def _read_head(readline) -> tuple[str, _Headers] | None:
+    """Read one message head: its start line and its header fields.
+
+    Returns None when the peer closed before the start line. Blank lines
+    before it are skipped (RFC 9112 section 2.2). Raises like _read_fields.
+    """
+    line = readline(_MAX_LINE + 1)
+    while line in _BLANK:
+        line = readline(_MAX_LINE + 1)
+    if not line:
+        return None
+    if len(line) > _MAX_LINE:
+        raise _FramingError(414, "line_too_long")
+    if line[-1:] != b"\n":
+        raise EOFError("peer closed inside a start line")
+    return line.rstrip(b"\r\n").decode("latin-1"), _read_fields(readline)
+
+
+def _tokens(value: str) -> list[str]:
+    """The lower-cased items of a comma-separated header value."""
+    return [item.strip().lower() for item in value.split(",")]
+
+
+def _body_length(value: str | None) -> int:
+    """A request's declared Content-Length; raises _FramingError 400 or 413."""
+    if not value:
+        return 0
+    if not (value.isascii() and value.isdigit()):
+        raise _FramingError(400, "bad_content_length")
+    # digit count first: int() refuses strings of more than 4300 digits
+    digits = value.lstrip("0")
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits or 0) > MAX_BODY_BYTES:
+        raise _FramingError(413, "body_too_large")
+    return int(digits or 0)
+
+
+class _DeviceConn:
+    """A device-leg connection: its socket and the bytes read past the last reply."""
+
+    __slots__ = ("sock", "_buf")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self._buf = bytearray()
+
+    def close(self) -> None:
+        self.sock.close()
+
+    def pending(self) -> bool:
+        """True when bytes past the last reply were read."""
+        return bool(self._buf)
+
+    def fill(self) -> bool:
+        """Receive more bytes into the buffer; False at EOF."""
+        data = self.sock.recv(65536)
+        self._buf += data
+        return bool(data)
+
+    def readline(self, limit: int) -> bytes:
+        """The next line, at most ``limit`` bytes of it; shorter at EOF."""
+        buf = self._buf
+        while True:
+            end = buf.find(b"\n", 0, limit)
+            if end >= 0:
+                cut = end + 1
+                break
+            if len(buf) >= limit or not self.fill():
+                cut = limit
+                break
+        line = bytes(buf[:cut])
+        del buf[:cut]
+        return line
+
+    def read(self, n: int) -> bytes:
+        """Exactly ``n`` bytes; raises EOFError when the device closes first."""
+        while len(self._buf) < n:
+            if not self.fill():
+                raise EOFError(f"device closed {n - len(self._buf)} bytes short of the body")
+        data = bytes(self._buf[:n])
+        del self._buf[:n]
+        return data
+
+    def read_to_eof(self) -> bytes:
+        while self.fill():
+            pass
+        data = bytes(self._buf)
+        self._buf.clear()
+        return data
+
+    def read_chunked(self) -> bytes:
+        """A chunked body (RFC 9112 section 7.1); trailer fields are dropped."""
+        parts = []
+        while True:
+            line = self.readline(_MAX_LINE + 1)
+            if line[-1:] != b"\n":
+                if len(line) > _MAX_LINE:
+                    raise _FramingError(502, "chunk size line too long")
+                raise EOFError("device closed inside a chunk size line")
+            size = line.partition(b";")[0].strip()
+            if not size or len(size) > 15 or size.strip(b"0123456789abcdefABCDEF"):
+                raise _FramingError(502, "bad chunk size")
+            n = int(size, 16)
+            if n == 0:
+                _read_fields(self.readline)
+                return b"".join(parts)
+            parts.append(self.read(n))
+            if self.read(2) != b"\r\n":
+                raise _FramingError(502, "chunk not followed by CRLF")
+
+
+def _read_reply(conn: _DeviceConn, method: str) -> tuple[int, str, bytes, bool]:
+    """Read one device reply: (status, content type, body, reusable).
+
+    1xx interim replies are skipped. A reply ends at its Content-Length, at
+    its last chunk, or at EOF. The connection is reusable only after an
+    HTTP/1.1 reply framed by length or chunks and without Connection: close.
+    """
+    while True:
+        head = _read_head(conn.readline)
+        if head is None:
+            raise EOFError("device closed the connection inside its reply")
+        start, headers = head
+        version, _, rest = start.partition(" ")
+        code = rest[:3]
+        if (
+            not _VERSION.fullmatch(version)
+            or not version.startswith("HTTP/1.")
+            or not (code.isascii() and code.isdigit())
+            or rest[3:4] not in ("", " ")
+            or code < "100"
+        ):
+            raise _FramingError(502, f"bad status line {start[:80]!r}")
+        status = int(code)
+        if status >= 200:
+            break
+    connection = headers.get("connection")
+    keep = version != "HTTP/1.0" and not (connection and "close" in _tokens(connection))
+    encoding = headers.get("transfer-encoding")
+    length = headers.get("content-length")
+    if method == "HEAD" or status in (204, 304):
+        data = b""
+    elif encoding is not None and _tokens(encoding)[-1] == "chunked":
+        data = conn.read_chunked()
+        keep = keep and length is None  # both framings: RFC 9112 section 6.1 says close
+    elif encoding is None and length is not None:
+        if not (length.isascii() and length.isdigit()) or len(length) > 15:
+            raise _FramingError(502, f"bad Content-Length {length[:80]!r}")
+        data = conn.read(int(length))
+    else:
+        data, keep = conn.read_to_eof(), False
+    return status, headers.get("content-type", "application/json"), data, keep
+
+
 def _readable(sock: socket.socket) -> bool:
     """True when a read would not block: EOF, an error, or unread bytes."""
     poller = select.poll()
@@ -95,11 +318,11 @@ class IdlePool:
     """
 
     def __init__(self):
-        self._idle: dict[tuple, list[tuple[http.client.HTTPConnection, float]]] = {}
+        self._idle: dict[tuple, list[tuple[_DeviceConn, float]]] = {}
         self._lock = threading.Lock()
         self._closed = False
 
-    def take(self, leg: tuple, now: float) -> tuple[http.client.HTTPConnection | None, int]:
+    def take(self, leg: tuple, now: float) -> tuple[_DeviceConn | None, int]:
         """Pop a live idle connection; also returns how many dead ones were closed."""
         discarded = 0
         while True:
@@ -113,7 +336,7 @@ class IdlePool:
             conn.close()
             discarded += 1
 
-    def give(self, leg: tuple, conn: http.client.HTTPConnection, now: float) -> bool:
+    def give(self, leg: tuple, conn: _DeviceConn, now: float) -> bool:
         """Keep ``conn`` for reuse, or close it when the pool is full or closed."""
         with self._lock:
             idle = self._idle.setdefault(leg, [])
@@ -240,7 +463,7 @@ class Gateway:
                 resolver=self.resolver,
                 connect_timeout=config.request_timeout_seconds,
             )
-        self._servers: list[ThreadingHTTPServer] = []
+        self._servers: list[_GatewayServer] = []
         self._threads: list[threading.Thread] = []
         self._prober: threading.Thread | None = None
         self._stop = threading.Event()
@@ -464,17 +687,16 @@ class Gateway:
         leg, connect = self._leg(record, listener_family)
         conn, discarded = record.pool.take(leg, time.monotonic())
         self._count_pool("discarded", discarded)
+        request = self._request_bytes(record, method, path, body)
         while True:
             reused = conn is not None
             if reused:
                 self._count_pool("reused")
             else:
-                conn = http.client.HTTPConnection(record.host, record.port)
-                conn.auto_open = 0  # never reconnect behind the relay's back
-                conn.sock = connect()
+                conn = _DeviceConn(connect())
                 self._count_pool("opened")
             try:
-                status, content_type, data = self._exchange(conn, method, path, body)
+                status, content_type, data, keep = self._exchange(conn, request, method)
             except _Unanswered:
                 conn.close()
                 if reused and method in _RETRYABLE_METHODS:
@@ -485,32 +707,40 @@ class Gateway:
             except BaseException:
                 conn.close()
                 raise
-            if conn.sock is None:  # the device asked to close (will_close)
+            if not keep:
                 conn.close()
+            elif conn.pending():  # bytes past the reply: the stream is out of step
+                conn.close()
+                self._count_pool("discarded")
             elif not record.pool.give(leg, conn, time.monotonic()):
                 self._count_pool("discarded")
             return status, content_type, data
 
     @staticmethod
-    def _exchange(conn: http.client.HTTPConnection, method: str, path: str, body: bytes):
-        headers = {"Content-Type": "application/json"} if body else {}
+    def _request_bytes(record: DeviceRecord, method: str, path: str, body: bytes) -> bytes:
+        head = f"{method} {path} HTTP/1.1\r\nHost: {format_hostport(record.host, record.port)}\r\n"
+        if body:
+            head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+        elif method in _BODY_METHODS:
+            head += "Content-Length: 0\r\n"
+        return head.encode("latin-1") + b"\r\n" + body
+
+    @staticmethod
+    def _exchange(conn: _DeviceConn, request: bytes, method: str):
         try:
             try:
-                conn.request(method, path, body=body if body else None, headers=headers)
-                if not conn.sock.recv(1, socket.MSG_PEEK):
+                conn.sock.sendall(request)
+                if not conn.fill():
                     raise _Unanswered("device closed the connection without answering")
             except ConnectionError as exc:
                 raise _Unanswered(f"device connection failed: {exc}")
-            resp = conn.getresponse()
-            data = resp.read()
-            return resp.status, resp.getheader("Content-Type", "application/json"), data
-        except (socket.timeout, TimeoutError) as exc:
+            return _read_reply(conn, method)
+        except TimeoutError as exc:
             raise DeviceTimeout(f"device timed out: {exc}")
-        except OSError as exc:
-            # RemoteDisconnected subclasses ConnectionResetError: a device that
-            # died mid-response lands here, not in the protocol-error bucket.
+        except (OSError, EOFError) as exc:
+            # a device that died mid-reply is unavailable, not a protocol error
             raise DeviceUnavailable(f"device connection failed: {exc}")
-        except http.client.HTTPException as exc:
+        except _FramingError as exc:
             raise DeviceProtocolError(f"malformed HTTP from device: {exc}")
 
     def _count_pool(self, name: str, n: int = 1) -> None:
@@ -745,7 +975,7 @@ class Gateway:
         }
 
 
-class _GatewayServer(ThreadingHTTPServer):
+class _GatewayServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
     # socketserver's default backlog of 5 drops the SYNs of a burst of new
@@ -756,73 +986,107 @@ class _GatewayServer(ThreadingHTTPServer):
         self.address_family = family
         self.gateway = gateway
         self.listener_family = listener_family
+        self._stamp = (0, b"")
         super().__init__(bind, _GatewayHandler)
 
+    def stamp(self) -> bytes:
+        """The Server and Date header lines; the date is formatted once a second."""
+        now = int(time.time())
+        stamp = self._stamp
+        if stamp[0] != now:
+            date = formatdate(now, usegmt=True).encode()
+            stamp = self._stamp = (now, b"Server: wotgw/0.1\r\nDate: %s\r\n" % date)
+        return stamp[1]
 
-class _GatewayHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "wotgw/0.1"
-    # one buffered write per response; a bare header write followed by a small
-    # body write trips Nagle + delayed-ACK stalls on loopback
-    wbufsize = 64 * 1024
+
+class _GatewayHandler(socketserver.StreamRequestHandler):
+    """One client connection: requests answered in order until one closes it.
+
+    HTTP/1.1 keeps the connection open unless the request says
+    ``Connection: close``; HTTP/1.0 closes after the reply. Bytes of a
+    pipelined next request stay in ``rfile``'s buffer.
+    """
+
     disable_nagle_algorithm = True
 
-    def log_message(self, fmt, *args):
-        log.debug("%s %s", self.address_string(), fmt % args)
+    def handle(self):
+        client_ip = _normalize_client_ip(self.client_address[0])
+        while self._serve_one(client_ip):
+            pass
 
-    def _read_body(self) -> bytes | tuple:
-        """The request body, or the (status, headers, payload) of an error reply."""
-        json_type = ("Content-Type", "application/json")
-        if self.headers.get("Transfer-Encoding", "").lower() == "chunked":
-            return 411, [json_type], b'{"error":"length_required"}'
-        length = self.headers.get("Content-Length", "") or "0"
-        if not (length.isascii() and length.isdigit()):
-            # the body's end is unknown, so the rest of the stream is unusable
-            return 400, [json_type, ("Connection", "close")], b'{"error":"bad_content_length"}'
-        # digit count first: int() refuses strings of more than 4300 digits
-        digits = length.lstrip("0")
-        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits or 0) > MAX_BODY_BYTES:
-            # answered before reading, so the unread body makes the stream unusable
-            return 413, [json_type, ("Connection", "close")], b'{"error":"body_too_large"}'
-        return self.rfile.read(int(digits)) if digits else b""
-
-    def _dispatch(self):
-        body = self._read_body()
-        if isinstance(body, tuple):
-            self._write_response(*body)
-            return
+    def _serve_one(self, client_ip: str) -> bool:
+        """Read and answer one request; False when the connection is done."""
+        try:
+            request = self._read_request()
+        except _FramingError as exc:
+            # the message's end is unknown, so the rest of the stream is unusable
+            self._send(exc.status, [_JSON_TYPE], b'{"error":"%s"}' % str(exc).encode(), keep=False)
+            return False
+        except (OSError, EOFError):  # the client reset or left mid-request
+            return False
+        if request is None:
+            return False
+        method, path, headers, body, keep = request
         gateway: Gateway = self.server.gateway
         try:
-            if self.path == "/admin" or self.path.startswith("/admin/"):
-                status, headers, payload = gateway.admin_request(self.command, self.path, body)
+            if path == "/admin" or path.startswith("/admin/"):
+                status, out, payload = gateway.admin_request(method, path, body)
             else:
-                client_ip = _normalize_client_ip(self.client_address[0])
-                status, headers, payload = gateway.handle_client_request(
-                    client_ip,
-                    self.server.listener_family,
-                    self.command,
-                    self.path,
-                    self.headers,
-                    body,
+                status, out, payload = gateway.handle_client_request(
+                    client_ip, self.server.listener_family, method, path, headers, body
                 )
         except Exception:
-            log.exception("pipeline failure for %s %s", self.command, self.path)
-            status, headers, payload = 500, [("Content-Type", "application/json")], b'{"error":"internal"}'
-        self._write_response(status, headers, payload)
+            log.exception("pipeline failure for %s %s", method, path)
+            status, out, payload = 500, [_JSON_TYPE], b'{"error":"internal"}'
+        log.debug('%s "%s %s" %d %d', client_ip, method, path, status, len(payload))
+        return self._send(status, out, payload, keep) and keep
 
-    def _write_response(self, status, headers, payload: bytes):
+    def _read_request(self):
+        """The next request as (method, path, headers, body, keep_alive), or
+        None at EOF. Raises _FramingError before reading a body it refuses."""
+        head = _read_head(self.rfile.readline)
+        if head is None:
+            return None
+        start, headers = head
+        parts = start.split(" ")
+        version = _VERSION.fullmatch(parts[-1])
+        if len(parts) != 3 or version is None or _BAD_TARGET.search(parts[1]):
+            raise _FramingError(400, "bad_request")
+        method, target, _ = parts
+        if version[1] >= "2":
+            raise _FramingError(505, "http_version_not_supported")
+        if method not in _METHODS:
+            raise _FramingError(501, "not_implemented")
+        if "transfer-encoding" in headers:
+            raise _FramingError(411, "length_required")
+        length = _body_length(headers.get("content-length"))
+        http11 = (version[1], version[2]) >= ("1", "1")
+        connection = headers.get("connection")
+        keep = http11 and not (connection and "close" in _tokens(connection))
+        if length and http11 and headers.get("expect", "").lower() == "100-continue":
+            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = self.rfile.read(length) if length else b""
+        if len(body) < length:
+            raise EOFError("client closed inside the body")
+        if target.startswith("//"):
+            # a path starting with // reads as a network-path reference to
+            # another host; collapse it against open redirects (CPython gh-87389)
+            target = "/" + target.lstrip("/")
+        return method, target, headers, body, keep
+
+    def _send(self, status: int, headers, payload: bytes, keep: bool) -> bool:
+        """Send one response with a single write; False when the client is gone."""
+        fields = "".join(f"{name}: {value}\r\n" for name, value in headers)
+        reply = b"".join((
+            _STATUS_LINES.get(status) or b"HTTP/1.1 %d \r\n" % status,
+            self.server.stamp(),
+            fields.encode("latin-1"),
+            b"Content-Length: %d\r\n" % len(payload),
+            b"\r\n" if keep else b"Connection: close\r\n\r\n",
+            payload,
+        ))
         try:
-            self.send_response(status)
-            for name, value in headers:
-                self.send_header(name, value)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+            self.request.sendall(reply)
         except OSError:
-            self.close_connection = True
-
-    do_GET = _dispatch
-    do_POST = _dispatch
-    do_PUT = _dispatch
-    do_DELETE = _dispatch
-    do_PATCH = _dispatch
+            return False
+        return True

@@ -208,6 +208,19 @@ class TestLiveSimulator:
         finally:
             sock.close()
 
+    def test_stop_mid_response_prints_no_traceback(self, capfd):
+        sim = DeviceSimulator(power_save_idle=0.0, base_latency=0.3).start()
+        sock = socket.create_connection(sim.address, timeout=5.0)
+        try:
+            sock.sendall(b"GET /status HTTP/1.1\r\nHost: sim\r\n\r\n")
+            deadline = time.monotonic() + 5.0
+            while sim.request_count == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            sim.stop()  # the handler is still sleeping; its write then fails
+        finally:
+            sock.close()
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_invalid_failure_rate_rejected(self, sim):
         with pytest.raises(ValueError):
             sim.inject_behavior(failure_rate=1.5)

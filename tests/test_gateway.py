@@ -1,7 +1,9 @@
 import contextlib
+import email.utils
 import http.client
 import json
 import socket
+import struct
 import sys
 import threading
 import time
@@ -20,6 +22,7 @@ from wotgw.gateway import (
     POOL_MAX_IDLE,
     Gateway,
     IdlePool,
+    _GatewayServer,
     _normalize_client_ip,
 )
 
@@ -978,3 +981,268 @@ class TestAdmin:
             status, _, body = _request(addr, "GET", "/admin/everything")
             assert status == 404
             assert codec.parse_json(body) == {"error": "not_found"}
+
+
+def _send_raw(addr, data: bytes) -> bytes:
+    """Send ``data`` on a new connection; read until the gateway closes it."""
+    with socket.create_connection(addr, timeout=5.0) as sock:
+        sock.sendall(data)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+def _replies(data: bytes) -> list[tuple[int, bytes, bytes]]:
+    """Split concatenated responses into (status, lower-cased head, body)."""
+    out = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        head = head.lower()
+        length = int(head.split(b"content-length: ")[1].split(b"\r\n")[0])
+        out.append((int(head[9:12]), head, rest[:length]))
+        data = rest[length:]
+    return out
+
+
+STATUS_GET = b"GET /devices/power/status HTTP/1.1\r\nHost: gw\r\n"
+
+
+class TestClientLeg:
+    def test_pipelined_requests_are_answered_in_order(self, sim_v4):
+        with running(make_config([power_device(sim_v4)])) as gw:
+            reply = _send_raw(
+                gw.listen_address("v4"),
+                STATUS_GET + b"\r\n"
+                + b"POST /devices/power/power HTTP/1.1\r\nContent-Length: 32\r\n\r\n" + QUERY_LONG
+                + b"GET /devices/ghost/status HTTP/1.1\r\nConnection: close\r\n\r\n",
+            )
+        assert [(status, body) for status, _, body in _replies(reply)] == [
+            (200, b'{"status":"ok"}'),
+            (200, TWO_DEVICE_LONG),
+            (404, b'{"error":"unknown_device","device":"ghost"}'),
+        ]
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /devices/power/status HTTP/1.0\r\n\r\n",
+        STATUS_GET + b"Connection: close\r\n\r\n",
+    ], ids=["http10", "connection-close"])
+    def test_reply_closes_when_asked(self, sim_v4, request_bytes):
+        with running(make_config([power_device(sim_v4)])) as gw:
+            [(status, head, _)] = _replies(_send_raw(gw.listen_address("v4"), request_bytes))
+        assert status == 200
+        assert b"\r\nconnection: close" in head
+
+    def test_http11_keeps_the_connection_open(self, sim_v4):
+        with running(make_config([power_device(sim_v4)])) as gw:
+            with socket.create_connection(gw.listen_address("v4"), timeout=5.0) as sock:
+                for _ in range(2):
+                    sock.sendall(STATUS_GET + b"\r\n")
+                    reply = b""
+                    while not reply.endswith(b'{"status":"ok"}'):
+                        reply += sock.recv(4096)
+                    assert b"connection:" not in reply.lower()
+            assert gw.stats()["requests_total"] == 2
+
+    def test_server_and_date_headers(self, sim_v4, monkeypatch):
+        formatted = []
+
+        def counting(*args, **kwargs):
+            formatted.append(args)
+            return email.utils.formatdate(*args, **kwargs)
+
+        monkeypatch.setattr("wotgw.gateway.formatdate", counting)
+        with running(make_config([power_device(sim_v4)])) as gw:
+            started = time.time()
+            reply = _send_raw(gw.listen_address("v4"), (STATUS_GET + b"\r\n") * 5
+                              + STATUS_GET + b"Connection: close\r\n\r\n")
+            seconds = int(time.time()) - int(started) + 1
+        heads = [head for _, head, _ in _replies(reply)]
+        assert len(heads) == 6
+        assert all(b"\r\nserver: wotgw/0.1\r\n" in head for head in heads)
+        date = heads[0].split(b"\r\ndate: ")[1].split(b"\r\n")[0].decode()
+        assert abs(email.utils.parsedate_to_datetime(date).timestamp() - started) < 2
+        assert len(formatted) <= seconds  # formatted at most once a second
+
+    def test_double_slash_path_collapses(self, sim_v4):
+        with running(make_config([power_device(sim_v4)])) as gw:
+            reply = _send_raw(gw.listen_address("v4"),
+                              b"GET //devices/power/status HTTP/1.1\r\nConnection: close\r\n\r\n")
+        assert _replies(reply)[0][::2] == (200, b'{"status":"ok"}')
+
+    def test_unknown_method_is_501(self, sim_v4):
+        with running(make_config([power_device(sim_v4)])) as gw:
+            reply = _send_raw(gw.listen_address("v4"),
+                              b"OPTIONS /devices/power/status HTTP/1.1\r\n\r\n")
+        assert _replies(reply)[0][::2] == (501, b'{"error":"not_implemented"}')
+        assert sim_v4.request_count == 0
+
+    def test_expect_100_continue_follows_the_length_check(self, sim_v4):
+        with running(make_config([power_device(sim_v4)])) as gw:
+            addr = gw.listen_address("v4")
+            head = b"POST /devices/power/power HTTP/1.1\r\nExpect: 100-continue\r\n"
+            too_big = _send_raw(addr, head + b"Content-Length: 2000000\r\n\r\n")
+            assert too_big.startswith(b"HTTP/1.1 413 ")
+            with socket.create_connection(addr, timeout=5.0) as sock:
+                sock.sendall(head + b"Content-Length: 32\r\nConnection: close\r\n\r\n")
+                interim = b""
+                while not interim.endswith(b"\r\n\r\n"):
+                    interim += sock.recv(1)
+                assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+                sock.sendall(QUERY_LONG)
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            assert _replies(reply)[0][::2] == (200, TWO_DEVICE_LONG)
+
+    @pytest.mark.parametrize("request_bytes, status, error", [
+        (b"POST /devices/power/power HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}",
+         400, "bad_content_length"),
+        (STATUS_GET + b"X-A: one\r\n two\r\n\r\n", 400, "bad_header"),
+        (STATUS_GET + b"X-A : one\r\n\r\n", 400, "bad_header"),
+        (STATUS_GET + b"X-A: " + b"a" * (64 * 1024) + b"\r\n\r\n", 431, "line_too_long"),
+        (STATUS_GET + b"".join(b"X-%d: v\r\n" % i for i in range(100)) + b"\r\n", 431, "too_many_headers"),
+        (b"GET /" + b"a" * (64 * 1024) + b" HTTP/1.1\r\n\r\n", 414, "line_too_long"),
+        (b"GET /devices/power/status HTTP/2.0\r\nHost: gw\r\n\r\n", 505, "http_version_not_supported"),
+    ], ids=["two-lengths", "obs-fold", "space-before-colon", "long-field-line",
+            "101-fields", "long-request-line", "http2"])
+    def test_bad_heads_get_json_errors(self, sim_v4, request_bytes, status, error):
+        with running(make_config([power_device(sim_v4)])) as gw:
+            [(got, head, body)] = _replies(_send_raw(gw.listen_address("v4"), request_bytes))
+        assert (got, codec.parse_json(body)) == (status, {"error": error})
+        assert b"\r\nconnection: close" in head
+        assert sim_v4.request_count == 0
+
+    def test_a_head_of_100_fields_is_served(self, sim_v4):
+        fields = b"".join(b"X-%d: v\r\n" % i for i in range(98))  # with Host and Connection
+        with running(make_config([power_device(sim_v4)])) as gw:
+            reply = _send_raw(gw.listen_address("v4"), STATUS_GET + fields + b"Connection: close\r\n\r\n")
+        assert _replies(reply)[0][0] == 200
+
+    def test_client_reset_while_device_answers_escapes_no_error(self, sim_v4, monkeypatch):
+        escaped = []
+        monkeypatch.setattr(_GatewayServer, "handle_error",
+                            lambda self, request, address: escaped.append(sys.exc_info()[1]))
+        sim_v4.inject_behavior(latency=0.3)
+        with running(make_config([power_device(sim_v4)])) as gw:
+            addr = gw.listen_address("v4")
+            sock = socket.create_connection(addr, timeout=5.0)
+            sock.sendall(STATUS_GET + b"\r\n")
+            assert _wait_for(lambda: sim_v4.request_count == 1)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()  # a reset, while the device is still answering
+            sim_v4.inject_behavior(latency=0.0)
+            assert _request(addr, "GET", "/devices/power/status")[0] == 200
+        assert escaped == []  # stop() joined every handler thread
+
+
+class _ScriptedDevice:
+    """Answers each request head with one fixed byte string, like _CannedServer,
+    but keeps the connection open afterwards unless ``close`` is set."""
+
+    def __init__(self, payload: bytes, close: bool = False):
+        self.payload, self.close_after = payload, close
+        self.connections = 0
+        self.sock = socket.socket()
+        self.sock.bind(("127.0.0.1", 0))
+        self.sock.listen(8)
+        self._open = []
+        threading.Thread(target=self._loop, daemon=True).start()
+
+    @property
+    def address(self):
+        return self.sock.getsockname()[:2]
+
+    def _loop(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return
+            self.connections += 1
+            self._open.append(conn)
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn):
+        with contextlib.suppress(OSError):
+            data = b""
+            while True:
+                while b"\r\n\r\n" not in data:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        return
+                    data += chunk
+                data = data.partition(b"\r\n\r\n")[2]
+                conn.sendall(self.payload)
+                if self.close_after:
+                    conn.close()
+                    return
+
+    def close(self):
+        for conn in [self.sock, *self._open]:
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+            conn.close()
+
+
+@contextlib.contextmanager
+def _scripted_gateway(payload: bytes, close: bool = False):
+    device = _ScriptedDevice(payload, close)
+    cfg = make_config([DeviceConfig(device_id="d", endpoint=format_hostport(*device.address))],
+                      cache_enabled=False)
+    try:
+        with running(cfg) as gw:
+            yield gw, device
+    finally:
+        device.close()
+
+
+def _idle(gw) -> int:
+    return sum(len(idle) for record in gw.registry.all() for idle in record.pool._idle.values())
+
+
+OK_BODY = b'{"status":"ok"}'
+
+
+class TestDeviceLegFraming:
+    @pytest.mark.parametrize("payload, close, pooled", [
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b'6\r\n{"stat\r\n9;ext=1\r\nus":"ok"}\r\n0\r\nX-Trailer: t\r\n\r\n', False, 1),
+        (b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" + OK_BODY, True, 0),
+        (b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 15\r\n\r\n" + OK_BODY,
+         False, 1),
+        (b"HTTP/1.0 200 OK\r\nContent-Length: 15\r\n\r\n" + OK_BODY, False, 0),
+    ], ids=["chunked", "read-to-eof", "interim-100", "http10"])
+    def test_reply_framings(self, payload, close, pooled):
+        with _scripted_gateway(payload, close) as (gw, device):
+            addr = gw.listen_address("v4")
+            for _ in range(2):
+                status, _, body = _request(addr, "GET", "/devices/d/status")
+                assert (status, body) == (200, OK_BODY)
+            assert _idle(gw) == pooled
+            assert device.connections == 2 - pooled
+            assert gw.stats()["pool"]["discarded"] == 0
+
+    def test_bytes_past_the_reply_discard_the_connection(self):
+        payload = b"HTTP/1.1 200 OK\r\nContent-Length: 15\r\n\r\n" + OK_BODY + b"EXTRA"
+        with _scripted_gateway(payload) as (gw, device):
+            addr = gw.listen_address("v4")
+            for _ in range(2):
+                assert _request(addr, "GET", "/devices/d/status")[::2] == (200, OK_BODY)
+            assert _idle(gw) == 0
+            assert device.connections == 2
+            assert gw.stats()["pool"] == {"opened": 2, "reused": 0, "discarded": 2}
+
+    def test_truncated_body_is_an_outage(self):
+        payload = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + OK_BODY
+        with _scripted_gateway(payload, close=True) as (gw, _):
+            status, _, body = _request(gw.listen_address("v4"), "GET", "/devices/d/status")
+        assert (status, codec.parse_json(body)) == (503, {"status": "device_unavailable", "device": "d"})
+
+    def test_over_100_header_lines_are_a_protocol_error(self):
+        fields = b"".join(b"X-%d: v\r\n" % i for i in range(101))
+        payload = b"HTTP/1.1 200 OK\r\n" + fields + b"Content-Length: 15\r\n\r\n" + OK_BODY
+        with _scripted_gateway(payload) as (gw, _):
+            status, _, body = _request(gw.listen_address("v4"), "GET", "/devices/d/status")
+        assert status == 502
+        assert codec.parse_json(body)["error"] == "device_protocol_error"
