@@ -4,26 +4,24 @@ Speaks coded JSON on the wire: POST /power takes a coded query and returns
 the coded readings array; GET /status answers {"status":"ok"}. Latency,
 seeded failure injection (connection reset), and a power-save idle mode are
 configurable so gateway behavior is observable and reproducible. The server
-is intentionally weak — one OS thread per connection, no pipelining — which
-is exactly what the gateway's cache is meant to protect.
+is intentionally weak — one OS thread per connection — which is exactly what
+the gateway's cache is meant to protect.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import random
 import socket
 import struct
-import sys
 import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from wotgw import codec
+from wotgw.http11 import JSON_TYPE, Handler, Listener
 from wotgw.socks import FAMILY_V4, FAMILY_V6
 
 log = logging.getLogger("wotgw.device")
@@ -106,24 +104,12 @@ def answer_power_query(coded_request, readings, mapping) -> list:
     return [codec.encode_keys(r.to_value(), mapping) for r in readings[:n]]
 
 
-class _SimHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "wotgw-sim/0.1"
-    wbufsize = 64 * 1024  # single write per response, avoids Nagle stalls
-    disable_nagle_algorithm = True
+class _SimHandler(Handler):
+    methods = frozenset(("GET", "POST"))
 
-    def log_message(self, fmt, *args):
-        log.debug("%s %s", self.address_string(), fmt % args)
-
-    def _sim(self) -> "DeviceSimulator":
-        return self.server.simulator
-
-    def _begin_request(self) -> bool:
-        """Count the request, apply wake/latency delays, draw failure injection.
-
-        Returns False when the request was aborted by injection.
-        """
-        sim = self._sim()
+    def respond(self, method, path, headers, body):
+        """Count the request, apply the injected delays and failures, answer it."""
+        sim: DeviceSimulator = self.server.simulator
         now = time.monotonic()
         with sim._lock:
             sim.request_counter += 1
@@ -134,103 +120,37 @@ class _SimHandler(BaseHTTPRequestHandler):
             napping = sim.power_save_idle > 0 and idle >= sim.power_save_idle
             wake = sim.wake_latency if napping else 0.0
         if fail:
-            self._abort_connection()
-            return False
-        if wake:
-            time.sleep(wake)
-        if latency:
-            time.sleep(latency)
-        return True
-
-    def _abort_connection(self):
-        """Reset the TCP connection without an HTTP response."""
-        self.close_connection = True
+            # reset the TCP connection without an HTTP response
+            with suppress(OSError):
+                self.connection.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                self.connection.close()
+            return None
+        if wake or latency:
+            time.sleep(wake + latency)
+        if method == "GET" and path == "/status":
+            return _json(200, {"status": "ok"})
+        if method == "GET" or path != "/power":
+            return _json(404, {"error": "not_found"})
         try:
-            self.connection.setsockopt(
-                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
-            )
-            self.connection.close()
-        except OSError:
-            pass
-        # neutralize the handler's file objects so the base class teardown
-        # does not touch the dead socket
-        self.rfile = io.BytesIO()
-        self.wfile = io.BytesIO()
-
-    def _send_json(self, status: int, value) -> None:
-        body = codec.canonical_bytes(value)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self):
-        if not self._begin_request():
-            return
-        if self.path == "/status":
-            self._send_json(200, {"status": "ok"})
-        else:
-            self._send_json(404, {"error": "not_found"})
-
-    def do_POST(self):
-        if not self._begin_request():
-            return
-        sim = self._sim()
-        if self.path != "/power":
-            self._send_json(404, {"error": "not_found"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            doc = codec.parse_json(self.rfile.read(length))
-            reply = answer_power_query(doc, sim.readings, sim.mapping)
+            reply = answer_power_query(codec.parse_json(body), sim.readings, sim.mapping)
         except (ValueError, TypeError, KeyError) as exc:
             log.debug("bad power query: %s", exc)
-            coded_error = codec.encode_keys({"error": "bad_request"}, sim.mapping)
-            self._send_json(400, coded_error)
-            return
-        self._send_json(200, reply)
+            return _json(400, codec.encode_keys({"error": "bad_request"}, sim.mapping))
+        return _json(200, reply)
 
 
-class _SimServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
+def _json(status: int, value):
+    return status, [JSON_TYPE], codec.canonical_bytes(value)
+
+
+class _SimServer(Listener):
+    server_version = "wotgw-sim/0.1"
 
     def __init__(self, bind: tuple[str, int], family: int, simulator: "DeviceSimulator"):
-        self.address_family = family
         self.simulator = simulator
-        self._open: set[socket.socket] = set()
-        self._open_lock = threading.Condition()
-        super().__init__(bind, _SimHandler)
-
-    def process_request(self, request, client_address):
-        with self._open_lock:
-            self._open.add(request)
-        super().process_request(request, client_address)
-
-    def handle_error(self, request, client_address):
-        # a peer that left, or stop() shutting the connection, mid-response
-        if isinstance(sys.exc_info()[1], ConnectionError):
-            log.debug("connection from %s dropped mid-response", client_address)
-        else:
-            super().handle_error(request, client_address)
-
-    def shutdown_request(self, request):
-        super().shutdown_request(request)
-        with self._open_lock:
-            self._open.discard(request)
-            self._open_lock.notify_all()
-
-    def drop_connections(self, timeout: float) -> None:
-        """Shut down every accepted connection, idle keep-alive ones included,
-        and wait up to ``timeout`` for their handler threads to finish."""
-        with self._open_lock:
-            conns = list(self._open)
-        for conn in conns:
-            with suppress(OSError):
-                conn.shutdown(socket.SHUT_RDWR)
-        with self._open_lock:
-            self._open_lock.wait_for(lambda: not self._open, timeout)
+        super().__init__(bind, family, _SimHandler)
 
 
 class DeviceSimulator:
@@ -262,7 +182,6 @@ class DeviceSimulator:
         host = bind[0]
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self._server = _SimServer(bind, family, self)
-        self._thread: threading.Thread | None = None
 
     @property
     def address(self) -> tuple[str, int]:
@@ -278,22 +197,13 @@ class DeviceSimulator:
             return self.request_counter
 
     def start(self) -> "DeviceSimulator":
-        self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
-            name="device-sim",
-            daemon=True,
-        )
-        self._thread.start()
+        self._server.start("device-sim")
         log.info("simulator listening addr=%s family=%s", self.address, self.family)
         return self
 
     def stop(self) -> None:
         """Stop listening and drop open connections, so peers see EOF."""
-        self._server.shutdown()
-        self._server.server_close()
-        self._server.drop_connections(timeout=5)
-        if self._thread:
-            self._thread.join(timeout=5)
+        self._server.stop()
 
     def inject_behavior(self, latency: float | None = None, failure_rate: float | None = None) -> None:
         """Adjust response latency and per-request failure probability at runtime."""

@@ -7,8 +7,8 @@ family differs from the device's, forwarding goes through the SOCKS relay;
 matching families connect directly. Device-leg connections are persistent
 HTTP/1.1 and pooled per device and leg, so a relay tunnel carries many
 requests. Devices that stop answering are reported with a 503 outage body and
-probed back to health. Both legs speak HTTP/1.1 through one small framer in
-this module: ``_read_head`` parses every request and reply head.
+probed back to health. Both legs speak HTTP/1.1 through the framer of
+``wotgw.http11``, whose ``read_head`` parses every request and reply head.
 """
 
 from __future__ import annotations
@@ -17,17 +17,13 @@ import ipaddress
 import json
 import logging
 import math
-import re
 import select
 import socket
-import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
-from email.utils import formatdate
-from http import HTTPStatus
 
-from wotgw import codec
+from wotgw import codec, http11
 from wotgw.cache import NOT_JSON, CacheEntry, CacheKey, ResponseCache, parse_body
 from wotgw.config import DeviceConfig, GatewayConfig, format_hostport, parse_hostport
 from wotgw.guard import DosGuard
@@ -58,23 +54,8 @@ POOL_IDLE_SECONDS = 10.0
 # Methods retried once on a fresh connection when a reused one dies before
 # answering (RFC 9112 section 9.3.1); never POST.
 _RETRYABLE_METHODS = frozenset(("GET", "HEAD"))
-# Largest client request body read; a longer declared Content-Length gets 413.
-MAX_BODY_BYTES = 1024 * 1024
-# Longest start or header line, its line ending included, and most header
-# fields in one head, on both legs; the standard library's HTTP modules use
-# the same caps.
-_MAX_LINE = 64 * 1024
-_MAX_HEADERS = 100
-# Methods the client leg serves; any other gets 501.
-_METHODS = frozenset(("GET", "POST", "PUT", "DELETE", "PATCH"))
 # Methods whose device-leg request carries Content-Length even when empty.
 _BODY_METHODS = frozenset(("POST", "PUT", "PATCH"))
-_VERSION = re.compile(r"HTTP/(\d)\.(\d)")
-# Spaces and control bytes never belong to a request target.
-_BAD_TARGET = re.compile(r"[\x00-\x20\x7f]")
-_BLANK = (b"\r\n", b"\n")
-_JSON_TYPE = ("Content-Type", "application/json")
-_STATUS_LINES = {int(s): b"HTTP/1.1 %d %s\r\n" % (s, s.phrase.encode()) for s in HTTPStatus}
 
 
 class DuplicateDeviceError(ValueError):
@@ -95,94 +76,6 @@ class _Unanswered(DeviceUnavailable):
 
 class DeviceProtocolError(Exception):
     """The device answered, but not with parseable HTTP/JSON."""
-
-
-class _FramingError(ValueError):
-    """A message the framer refuses. ``status`` is the client leg's answer;
-    the exception's message is the error name of its JSON body."""
-
-    def __init__(self, status: int, error: str):
-        super().__init__(error)
-        self.status = status
-
-
-class _Headers(dict):
-    """Header fields by lower-cased name; ``get`` takes any spelling."""
-
-    __slots__ = ()
-
-    def get(self, name, default=None):
-        return dict.get(self, name.lower(), default)
-
-
-def _read_fields(readline) -> _Headers:
-    """Read header fields up to the blank line that ends them (RFC 9112 section 5).
-
-    ``readline(limit)`` returns the next line, at most ``limit`` bytes of it,
-    as ``io.BufferedReader.readline`` does. Raises EOFError when the peer
-    closes first and _FramingError for an over-long line, more than
-    _MAX_HEADERS fields, obs-fold, whitespace before a colon, or two
-    different Content-Length values. Repeated fields are joined with ", ".
-    """
-    headers = _Headers()
-    for _ in range(_MAX_HEADERS + 1):
-        line = readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
-            raise _FramingError(431, "line_too_long")
-        if line in _BLANK:
-            return headers
-        if line[-1:] != b"\n":
-            raise EOFError("peer closed inside a head")
-        name, colon, value = line.decode("latin-1").partition(":")
-        # a leading space or tab is obs-fold; one before the colon is also refused
-        if not colon or not name or " " in name or "\t" in name:
-            raise _FramingError(400, "bad_header")
-        name = name.lower()
-        value = value.strip(" \t\r\n")
-        if name in headers:
-            if name == "content-length":
-                if headers[name] != value:
-                    raise _FramingError(400, "bad_content_length")
-                continue
-            value = f"{headers[name]}, {value}"
-        headers[name] = value
-    raise _FramingError(431, "too_many_headers")
-
-
-def _read_head(readline) -> tuple[str, _Headers] | None:
-    """Read one message head: its start line and its header fields.
-
-    Returns None when the peer closed before the start line. Blank lines
-    before it are skipped (RFC 9112 section 2.2). Raises like _read_fields.
-    """
-    line = readline(_MAX_LINE + 1)
-    while line in _BLANK:
-        line = readline(_MAX_LINE + 1)
-    if not line:
-        return None
-    if len(line) > _MAX_LINE:
-        raise _FramingError(414, "line_too_long")
-    if line[-1:] != b"\n":
-        raise EOFError("peer closed inside a start line")
-    return line.rstrip(b"\r\n").decode("latin-1"), _read_fields(readline)
-
-
-def _tokens(value: str) -> list[str]:
-    """The lower-cased items of a comma-separated header value."""
-    return [item.strip().lower() for item in value.split(",")]
-
-
-def _body_length(value: str | None) -> int:
-    """A request's declared Content-Length; raises _FramingError 400 or 413."""
-    if not value:
-        return 0
-    if not (value.isascii() and value.isdigit()):
-        raise _FramingError(400, "bad_content_length")
-    # digit count first: int() refuses strings of more than 4300 digits
-    digits = value.lstrip("0")
-    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits or 0) > MAX_BODY_BYTES:
-        raise _FramingError(413, "body_too_large")
-    return int(digits or 0)
 
 
 class _DeviceConn:
@@ -242,21 +135,21 @@ class _DeviceConn:
         """A chunked body (RFC 9112 section 7.1); trailer fields are dropped."""
         parts = []
         while True:
-            line = self.readline(_MAX_LINE + 1)
+            line = self.readline(http11.MAX_LINE + 1)
             if line[-1:] != b"\n":
-                if len(line) > _MAX_LINE:
-                    raise _FramingError(502, "chunk size line too long")
+                if len(line) > http11.MAX_LINE:
+                    raise http11.FramingError(502, "chunk size line too long")
                 raise EOFError("device closed inside a chunk size line")
             size = line.partition(b";")[0].strip()
             if not size or len(size) > 15 or size.strip(b"0123456789abcdefABCDEF"):
-                raise _FramingError(502, "bad chunk size")
+                raise http11.FramingError(502, "bad chunk size")
             n = int(size, 16)
             if n == 0:
-                _read_fields(self.readline)
+                http11.read_fields(self.readline)
                 return b"".join(parts)
             parts.append(self.read(n))
             if self.read(2) != b"\r\n":
-                raise _FramingError(502, "chunk not followed by CRLF")
+                raise http11.FramingError(502, "chunk not followed by CRLF")
 
 
 def _read_reply(conn: _DeviceConn, method: str) -> tuple[int, str, bytes, bool]:
@@ -267,35 +160,35 @@ def _read_reply(conn: _DeviceConn, method: str) -> tuple[int, str, bytes, bool]:
     HTTP/1.1 reply framed by length or chunks and without Connection: close.
     """
     while True:
-        head = _read_head(conn.readline)
+        head = http11.read_head(conn.readline)
         if head is None:
             raise EOFError("device closed the connection inside its reply")
         start, headers = head
         version, _, rest = start.partition(" ")
         code = rest[:3]
         if (
-            not _VERSION.fullmatch(version)
+            not http11.VERSION.fullmatch(version)
             or not version.startswith("HTTP/1.")
             or not (code.isascii() and code.isdigit())
             or rest[3:4] not in ("", " ")
             or code < "100"
         ):
-            raise _FramingError(502, f"bad status line {start[:80]!r}")
+            raise http11.FramingError(502, f"bad status line {start[:80]!r}")
         status = int(code)
         if status >= 200:
             break
     connection = headers.get("connection")
-    keep = version != "HTTP/1.0" and not (connection and "close" in _tokens(connection))
+    keep = version != "HTTP/1.0" and not (connection and "close" in http11.tokens(connection))
     encoding = headers.get("transfer-encoding")
     length = headers.get("content-length")
     if method == "HEAD" or status in (204, 304):
         data = b""
-    elif encoding is not None and _tokens(encoding)[-1] == "chunked":
+    elif encoding is not None and http11.tokens(encoding)[-1] == "chunked":
         data = conn.read_chunked()
         keep = keep and length is None  # both framings: RFC 9112 section 6.1 says close
     elif encoding is None and length is not None:
         if not (length.isascii() and length.isdigit()) or len(length) > 15:
-            raise _FramingError(502, f"bad Content-Length {length[:80]!r}")
+            raise http11.FramingError(502, f"bad Content-Length {length[:80]!r}")
         data = conn.read(int(length))
     else:
         data, keep = conn.read_to_eof(), False
@@ -463,8 +356,7 @@ class Gateway:
                 resolver=self.resolver,
                 connect_timeout=config.request_timeout_seconds,
             )
-        self._servers: list[_GatewayServer] = []
-        self._threads: list[threading.Thread] = []
+        self._servers: dict[str, _GatewayServer] = {}
         self._prober: threading.Thread | None = None
         self._stop = threading.Event()
         self._stats_lock = threading.Lock()
@@ -486,24 +378,23 @@ class Gateway:
     # -- lifecycle --
 
     def start(self) -> "Gateway":
+        """Start the relay, the HTTP listeners and the prober; a start that
+        fails stops whatever it started before raising."""
         for cfg in self.config.devices:
             self.register_device_config(cfg)
-        if self.relay is not None:
-            self.relay.start()
-        for family, spec in ((FAMILY_V4, self.config.listen_v4), (FAMILY_V6, self.config.listen_v6)):
-            if spec is None:
-                continue
-            server = _GatewayServer(spec, _AF[family], self, family)
-            self._servers.append(server)
-            t = threading.Thread(
-                target=lambda srv=server: srv.serve_forever(poll_interval=0.05),
-                name=f"gateway-http-{family}",
-                daemon=True,
-            )
-            t.start()
-            self._threads.append(t)
-        if not self._servers:
-            raise ValueError("gateway needs at least one HTTP listener")
+        try:
+            if self.relay is not None:
+                self.relay.start()
+            for family, spec in ((FAMILY_V4, self.config.listen_v4), (FAMILY_V6, self.config.listen_v6)):
+                if spec is None:
+                    continue
+                server = self._servers[family] = _GatewayServer(spec, self, family)
+                server.start(f"gateway-http-{family}")
+            if not self._servers:
+                raise ValueError("gateway needs at least one HTTP listener")
+        except BaseException:
+            self.stop()
+            raise
         if self.config.probe_interval_seconds > 0:
             self._prober = threading.Thread(target=self._probe_loop, name="gateway-prober", daemon=True)
             self._prober.start()
@@ -516,10 +407,11 @@ class Gateway:
         return self
 
     def stop(self) -> None:
+        """Close the listeners and every client connection, the device-leg
+        pools and the relay."""
         self._stop.set()
-        for server in self._servers:
-            server.shutdown()
-            server.server_close()
+        for server in self._servers.values():
+            server.stop()
         self._servers.clear()
         if self._prober:
             self._prober.join(timeout=5)
@@ -529,10 +421,8 @@ class Gateway:
             self.relay.stop()
 
     def listen_address(self, family: str) -> tuple[str, int] | None:
-        for server in self._servers:
-            if server.listener_family == family:
-                return server.server_address[:2]
-        return None
+        server = self._servers.get(family)
+        return server.server_address[:2] if server else None
 
     # -- registration --
 
@@ -740,7 +630,7 @@ class Gateway:
         except (OSError, EOFError) as exc:
             # a device that died mid-reply is unavailable, not a protocol error
             raise DeviceUnavailable(f"device connection failed: {exc}")
-        except _FramingError as exc:
+        except http11.FramingError as exc:
             raise DeviceProtocolError(f"malformed HTTP from device: {exc}")
 
     def _count_pool(self, name: str, n: int = 1) -> None:
@@ -975,118 +865,26 @@ class Gateway:
         }
 
 
-class _GatewayServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    # socketserver's default backlog of 5 drops the SYNs of a burst of new
-    # clients, which then retry a second later
-    request_queue_size = 128
-
-    def __init__(self, bind: tuple[str, int], family: int, gateway: Gateway, listener_family: str):
-        self.address_family = family
+class _GatewayServer(http11.Listener):
+    def __init__(self, bind: tuple[str, int], gateway: Gateway, listener_family: str):
         self.gateway = gateway
         self.listener_family = listener_family
-        self._stamp = (0, b"")
-        super().__init__(bind, _GatewayHandler)
-
-    def stamp(self) -> bytes:
-        """The Server and Date header lines; the date is formatted once a second."""
-        now = int(time.time())
-        stamp = self._stamp
-        if stamp[0] != now:
-            date = formatdate(now, usegmt=True).encode()
-            stamp = self._stamp = (now, b"Server: wotgw/0.1\r\nDate: %s\r\n" % date)
-        return stamp[1]
+        super().__init__(bind, _AF[listener_family], _GatewayHandler)
 
 
-class _GatewayHandler(socketserver.StreamRequestHandler):
-    """One client connection: requests answered in order until one closes it.
+class _GatewayHandler(http11.Handler):
+    """One client connection; each request runs the admin API or the pipeline."""
 
-    HTTP/1.1 keeps the connection open unless the request says
-    ``Connection: close``; HTTP/1.0 closes after the reply. Bytes of a
-    pipelined next request stay in ``rfile``'s buffer.
-    """
-
-    disable_nagle_algorithm = True
+    methods = frozenset(("GET", "POST", "PUT", "DELETE", "PATCH"))
 
     def handle(self):
-        client_ip = _normalize_client_ip(self.client_address[0])
-        while self._serve_one(client_ip):
-            pass
+        self.client_ip = _normalize_client_ip(self.client_address[0])
+        super().handle()
 
-    def _serve_one(self, client_ip: str) -> bool:
-        """Read and answer one request; False when the connection is done."""
-        try:
-            request = self._read_request()
-        except _FramingError as exc:
-            # the message's end is unknown, so the rest of the stream is unusable
-            self._send(exc.status, [_JSON_TYPE], b'{"error":"%s"}' % str(exc).encode(), keep=False)
-            return False
-        except (OSError, EOFError):  # the client reset or left mid-request
-            return False
-        if request is None:
-            return False
-        method, path, headers, body, keep = request
+    def respond(self, method, path, headers, body):
         gateway: Gateway = self.server.gateway
-        try:
-            if path == "/admin" or path.startswith("/admin/"):
-                status, out, payload = gateway.admin_request(method, path, body)
-            else:
-                status, out, payload = gateway.handle_client_request(
-                    client_ip, self.server.listener_family, method, path, headers, body
-                )
-        except Exception:
-            log.exception("pipeline failure for %s %s", method, path)
-            status, out, payload = 500, [_JSON_TYPE], b'{"error":"internal"}'
-        log.debug('%s "%s %s" %d %d', client_ip, method, path, status, len(payload))
-        return self._send(status, out, payload, keep) and keep
-
-    def _read_request(self):
-        """The next request as (method, path, headers, body, keep_alive), or
-        None at EOF. Raises _FramingError before reading a body it refuses."""
-        head = _read_head(self.rfile.readline)
-        if head is None:
-            return None
-        start, headers = head
-        parts = start.split(" ")
-        version = _VERSION.fullmatch(parts[-1])
-        if len(parts) != 3 or version is None or _BAD_TARGET.search(parts[1]):
-            raise _FramingError(400, "bad_request")
-        method, target, _ = parts
-        if version[1] >= "2":
-            raise _FramingError(505, "http_version_not_supported")
-        if method not in _METHODS:
-            raise _FramingError(501, "not_implemented")
-        if "transfer-encoding" in headers:
-            raise _FramingError(411, "length_required")
-        length = _body_length(headers.get("content-length"))
-        http11 = (version[1], version[2]) >= ("1", "1")
-        connection = headers.get("connection")
-        keep = http11 and not (connection and "close" in _tokens(connection))
-        if length and http11 and headers.get("expect", "").lower() == "100-continue":
-            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-        body = self.rfile.read(length) if length else b""
-        if len(body) < length:
-            raise EOFError("client closed inside the body")
-        if target.startswith("//"):
-            # a path starting with // reads as a network-path reference to
-            # another host; collapse it against open redirects (CPython gh-87389)
-            target = "/" + target.lstrip("/")
-        return method, target, headers, body, keep
-
-    def _send(self, status: int, headers, payload: bytes, keep: bool) -> bool:
-        """Send one response with a single write; False when the client is gone."""
-        fields = "".join(f"{name}: {value}\r\n" for name, value in headers)
-        reply = b"".join((
-            _STATUS_LINES.get(status) or b"HTTP/1.1 %d \r\n" % status,
-            self.server.stamp(),
-            fields.encode("latin-1"),
-            b"Content-Length: %d\r\n" % len(payload),
-            b"\r\n" if keep else b"Connection: close\r\n\r\n",
-            payload,
-        ))
-        try:
-            self.request.sendall(reply)
-        except OSError:
-            return False
-        return True
+        if path == "/admin" or path.startswith("/admin/"):
+            return gateway.admin_request(method, path, body)
+        return gateway.handle_client_request(
+            self.client_ip, self.server.listener_family, method, path, headers, body
+        )

@@ -7,6 +7,11 @@ detector blocks the client for ``block_seconds``; the block resets the
 client's window when it expires. Clients are independent of each other.
 State of clients idle for ``idle_purge_seconds`` is dropped on the request
 path, at most once per that horizon.
+
+A client's window holds at most ``rate_limit + 1`` timestamps: the request
+past the limit blocks the client, and a blocked client's requests are not
+recorded. The window stays exact, because the acceptance gate compares the
+verdicts with an exact timestamp model that a counting approximation breaks.
 """
 
 from __future__ import annotations

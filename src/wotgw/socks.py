@@ -21,6 +21,8 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from wotgw.http11 import Listener
+
 log = logging.getLogger("wotgw.socks")
 
 SOCKS_VERSION = 0x05
@@ -94,6 +96,22 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
             raise SocksError("connection closed mid-message")
         buf += chunk
     return buf
+
+
+def _recv_message(sock: socket.socket) -> bytes:
+    """One SOCKS5 request or reply: its four head bytes, address and port."""
+    head = _recv_exact(sock, 4)
+    atyp = head[3]
+    if atyp == ATYP_IPV4:
+        rest = _recv_exact(sock, 6)
+    elif atyp == ATYP_IPV6:
+        rest = _recv_exact(sock, 18)
+    elif atyp == ATYP_DOMAIN:
+        length = _recv_exact(sock, 1)
+        rest = length + _recv_exact(sock, length[0] + 2)
+    else:
+        raise SocksError(f"address type {atyp} not supported", REP_ADDRESS_TYPE_NOT_SUPPORTED)
+    return head + rest
 
 
 def negotiate(greeting: bytes) -> bytes:
@@ -258,7 +276,7 @@ def resolve_target(request: SocksConnectRequest, policy: ResolverPolicy) -> list
 # --- sessions and the relay server ---------------------------------------------
 
 
-@dataclass(eq=False)  # identity semantics: sessions live in the registry set
+@dataclass
 class RelaySession:
     client_address: tuple
     client_family: str
@@ -299,8 +317,7 @@ class SocksRelayServer:
     """SOCKS5 listener(s) splicing accepted connections to resolved targets.
 
     Many sessions run concurrently; within a session the two pump directions
-    progress independently on separate threads. The session registry is safe
-    for concurrent inspection.
+    progress independently on separate threads.
     """
 
     def __init__(
@@ -317,75 +334,39 @@ class SocksRelayServer:
         self.idle_timeout = idle_timeout
         self.connect_timeout = connect_timeout
         self._listen_spec = {FAMILY_V4: listen_v4, FAMILY_V6: listen_v6}
-        self._listeners: dict[str, socket.socket] = {}
-        self._threads: list[threading.Thread] = []
-        self._sessions: set[RelaySession] = set()
-        self._sessions_lock = threading.Lock()
+        self._servers: dict[str, Listener] = {}
         self.stats = RelayStats()
-        self._running = False
 
     # -- lifecycle --
 
     def start(self) -> None:
+        if not any(self._listen_spec.values()):
+            raise ValueError("relay needs at least one listener")
         for family, spec in self._listen_spec.items():
             if spec is None:
                 continue
-            sock = socket.socket(_AF[family], socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if family == FAMILY_V6:
-                sock.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY, 1)
-            sock.bind(spec)
-            sock.listen(128)
-            self._listeners[family] = sock
-            log.info("socks listening family=%s addr=%s", family, sock.getsockname()[:2])
-        if not self._listeners:
-            raise ValueError("relay needs at least one listener")
-        self._running = True
-        for family, sock in self._listeners.items():
-            t = threading.Thread(
-                target=self._accept_loop, args=(sock,), name=f"socks-accept-{family}", daemon=True
+            server = self._servers[family] = Listener(
+                spec, _AF[family], lambda conn, addr, _server: self._handle_connection(conn, addr)
             )
-            t.start()
-            self._threads.append(t)
+            server.start(f"socks-{family}")
+            log.info("socks listening family=%s addr=%s", family, server.server_address[:2])
 
     def stop(self) -> None:
-        self._running = False
-        for sock in self._listeners.values():
-            with suppress(OSError):
-                sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
-            with suppress(OSError):
-                sock.close()
-        self._listeners.clear()
-        for t in self._threads:
-            t.join(timeout=5)
-        self._threads.clear()
+        """Close the listeners and every client connection, so live sessions end."""
+        for server in self._servers.values():
+            server.stop()
+        self._servers.clear()
 
     def listen_address(self, family: str) -> tuple[str, int] | None:
-        sock = self._listeners.get(family)
-        return sock.getsockname()[:2] if sock else None
-
-    @property
-    def active_sessions(self) -> int:
-        with self._sessions_lock:
-            return len(self._sessions)
+        server = self._servers.get(family)
+        return server.server_address[:2] if server else None
 
     # -- connection handling --
-
-    def _accept_loop(self, listener: socket.socket) -> None:
-        while self._running:
-            try:
-                conn, addr = listener.accept()
-            except OSError:
-                break
-            threading.Thread(
-                target=self._handle_connection, args=(conn, addr), daemon=True
-            ).start()
 
     def _handle_connection(self, conn: socket.socket, addr: tuple) -> None:
         client_family = FAMILY_V4 if conn.family == socket.AF_INET else FAMILY_V6
         session = RelaySession(client_address=addr, client_family=client_family)
         try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.settimeout(self.idle_timeout)
             head = _recv_exact(conn, 2)
             methods = _recv_exact(conn, head[1])
@@ -393,7 +374,7 @@ class SocksRelayServer:
             conn.sendall(reply)
             if reply[1] == METHOD_NO_ACCEPTABLE:
                 return
-            request = self._read_request(conn)
+            request = parse_connect(_recv_message(conn))
             session.advance(STATE_CONNECTING)
             candidates = resolve_target(request, self.resolver)
             self.establish_and_pump(conn, candidates, session)
@@ -405,29 +386,13 @@ class SocksRelayServer:
         except OSError as exc:
             log.debug("session from %s I/O error: %s", addr, exc)
         finally:
-            with suppress(OSError):
-                conn.close()
             session.state = STATE_CLOSED
-
-    def _read_request(self, conn: socket.socket) -> SocksConnectRequest:
-        head = _recv_exact(conn, 4)
-        atyp = head[3]
-        if atyp == ATYP_IPV4:
-            rest = _recv_exact(conn, 6)
-        elif atyp == ATYP_IPV6:
-            rest = _recv_exact(conn, 18)
-        elif atyp == ATYP_DOMAIN:
-            length = _recv_exact(conn, 1)
-            rest = length + _recv_exact(conn, length[0] + 2)
-        else:
-            raise SocksError(f"address type {atyp} not supported", REP_ADDRESS_TYPE_NOT_SUPPORTED)
-        return parse_connect(head + rest)
 
     def establish_and_pump(
         self,
         client: socket.socket,
         candidates: list[Candidate],
-        session: RelaySession | None = None,
+        session: RelaySession,
     ) -> RelaySession:
         """Connect to the first reachable candidate, reply, and splice until EOF.
 
@@ -436,12 +401,6 @@ class SocksRelayServer:
         both sockets are closed on return. On failure the RFC failure reply
         is sent and the session is closed with zero byte counts.
         """
-        if session is None:
-            session = RelaySession(
-                client_address=client.getpeername(),
-                client_family=FAMILY_V4 if client.family == socket.AF_INET else FAMILY_V6,
-                state=STATE_CONNECTING,
-            )
         if not candidates:
             raise SocksError("no candidates", REP_HOST_UNREACHABLE)
 
@@ -481,8 +440,6 @@ class SocksRelayServer:
         with self.stats.lock:
             self.stats.sessions_total += 1
             self.stats.active_sessions += 1
-        with self._sessions_lock:
-            self._sessions.add(session)
 
         client.settimeout(self.idle_timeout)
         target.settimeout(self.idle_timeout)
@@ -498,8 +455,6 @@ class SocksRelayServer:
                 with suppress(OSError):
                     sock.close()
             session.state = STATE_CLOSED
-            with self._sessions_lock:
-                self._sessions.discard(session)
             with self.stats.lock:
                 self.stats.active_sessions -= 1
                 self.stats.bytes_up += session.bytes_up
@@ -548,21 +503,11 @@ def socks_connect(
         if resp[0] != SOCKS_VERSION or resp[1] != METHOD_NO_AUTH:
             raise SocksError("relay refused the no-auth method")
         sock.sendall(build_connect_request(target_host, target_port))
-        head = _recv_exact(sock, 4)
-        if head[0] != SOCKS_VERSION:
+        reply = _recv_message(sock)
+        if reply[0] != SOCKS_VERSION:
             raise SocksError("bad reply version")
-        atyp = head[3]
-        if atyp == ATYP_IPV4:
-            _recv_exact(sock, 6)
-        elif atyp == ATYP_IPV6:
-            _recv_exact(sock, 18)
-        elif atyp == ATYP_DOMAIN:
-            length = _recv_exact(sock, 1)
-            _recv_exact(sock, length[0] + 2)
-        else:
-            raise SocksError(f"bad reply address type {atyp}")
-        if head[1] != REP_SUCCESS:
-            raise SocksReplyError(f"relay reply code {head[1]}", head[1])
+        if reply[1] != REP_SUCCESS:
+            raise SocksReplyError(f"relay reply code {reply[1]}", reply[1])
         return sock
     except BaseException:
         sock.close()

@@ -313,3 +313,36 @@ def test_custom_readings_and_empty_mapping():
         ]
     finally:
         sim.stop()
+
+
+def test_wildcard_v4_and_v6_simulators_share_a_port():
+    v4 = DeviceSimulator(bind=("0.0.0.0", 0), power_save_idle=0.0).start()
+    try:
+        port = v4.address[1]
+        v6 = DeviceSimulator(bind=("::", port), power_save_idle=0.0).start()
+        try:
+            for host in ("127.0.0.1", "::1"):
+                assert _request((host, port), "GET", "/status") == (200, b'{"status":"ok"}')
+            assert (v4.request_count, v6.request_count) == (1, 1)
+        finally:
+            v6.stop()
+    finally:
+        v4.stop()
+
+
+@pytest.mark.parametrize("request_bytes, status, error", [
+    (b"PUT /power HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 501, "not_implemented"),
+    (b"GET /status HTTP/1.1\r\nX-A : one\r\n\r\n", 400, "bad_header"),
+    (b"POST /power HTTP/1.1\r\nContent-Length: x\r\n\r\n", 400, "bad_content_length"),
+], ids=["put", "space-before-colon", "bad-length"])
+def test_refused_requests_get_json_errors(sim, request_bytes, status, error):
+    with socket.create_connection(sim.address, timeout=5.0) as sock:
+        sock.sendall(request_bytes)
+        reply = b""
+        while chunk := sock.recv(4096):  # the simulator closes after a refusal
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 %d " % status)
+    assert b"\r\nConnection: close" in head
+    assert codec.parse_json(body) == {"error": error}
+    assert sim.request_count == 0

@@ -1051,7 +1051,7 @@ class TestClientLeg:
             formatted.append(args)
             return email.utils.formatdate(*args, **kwargs)
 
-        monkeypatch.setattr("wotgw.gateway.formatdate", counting)
+        monkeypatch.setattr("wotgw.http11.formatdate", counting)
         with running(make_config([power_device(sim_v4)])) as gw:
             started = time.time()
             reply = _send_raw(gw.listen_address("v4"), (STATUS_GET + b"\r\n") * 5
@@ -1246,3 +1246,61 @@ class TestDeviceLegFraming:
             status, _, body = _request(gw.listen_address("v4"), "GET", "/devices/d/status")
         assert status == 502
         assert codec.parse_json(body)["error"] == "device_protocol_error"
+
+
+def _free_ports(host: str, n: int) -> list[int]:
+    """``n`` distinct ports that are free on ``host`` right now."""
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    socks = [socket.socket(family) for _ in range(n)]
+    try:
+        for sock in socks:
+            sock.bind((host, 0))
+        return [sock.getsockname()[1] for sock in socks]
+    finally:
+        for sock in socks:
+            sock.close()
+
+
+class TestLifecycle:
+    def test_stop_closes_keep_alive_client_connections(self, sim_v4):
+        with running(make_config([power_device(sim_v4)])) as gw:
+            with socket.create_connection(gw.listen_address("v4"), timeout=5.0) as sock:
+                for _ in range(2):  # a miss, then a cache hit
+                    sock.sendall(STATUS_GET + b"\r\n")
+                    reply = b""
+                    while not reply.endswith(OK_BODY):
+                        chunk = sock.recv(4096)
+                        assert chunk, "gateway closed before the reply"
+                        reply += chunk
+                gw.stop()
+                assert sock.recv(4096) == b""  # EOF, not a handler left serving
+
+    def test_wildcard_v4_and_v6_listeners_share_a_port(self, sim_v4):
+        [port] = _free_ports("0.0.0.0", 1)
+        cfg = make_config([power_device(sim_v4)], listen_v4=("0.0.0.0", port), listen_v6=("::", port))
+        with running(cfg):
+            for host in ("127.0.0.1", "::1"):
+                assert _request((host, port), "GET", "/devices/power/status")[::2] == (200, OK_BODY)
+
+    def test_failed_start_stops_what_it_started(self, sim_v4):
+        baseline = threading.active_count()
+        v4, socks_v4 = _free_ports("127.0.0.1", 2)
+        [socks_v6] = _free_ports("::1", 1)
+        with socket.socket(socket.AF_INET6) as taken:
+            taken.bind(("::1", 0))
+            taken.listen(1)
+            cfg = make_config(
+                [power_device(sim_v4)],
+                listen_v4=("127.0.0.1", v4),
+                listen_v6=("::1", taken.getsockname()[1]),
+                socks_listen_v4=("127.0.0.1", socks_v4),
+                socks_listen_v6=("::1", socks_v6),
+            )
+            with pytest.raises(OSError):
+                Gateway(cfg).start()
+        for family, addr in ((socket.AF_INET, ("127.0.0.1", v4)),
+                             (socket.AF_INET, ("127.0.0.1", socks_v4)),
+                             (socket.AF_INET6, ("::1", socks_v6))):
+            with socket.socket(family) as probe:
+                probe.bind(addr)  # EADDRINUSE while a listener is left open
+        assert _wait_for(lambda: threading.active_count() == baseline)

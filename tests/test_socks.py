@@ -476,6 +476,20 @@ class TestLiveRelay:
         finally:
             sock.close()
 
+    def test_stop_ends_live_sessions(self, relay, echo_v4):
+        host, port = echo_v4.address
+        with socks_connect(relay.listen_address("v4"), host, port, timeout=5.0) as sock:
+            sock.sendall(b"ping")
+            echoed = b""
+            while len(echoed) < 4:
+                chunk = sock.recv(4)
+                assert chunk, "relay closed before the echo"
+                echoed += chunk
+            assert echoed == b"ping"
+            relay.stop()
+            assert sock.recv(4096) == b""  # EOF, not a session left relaying
+        assert relay.stats.snapshot()["active_sessions"] == 0
+
     def test_listen_address_reports_bound_ports(self, relay):
         v4 = relay.listen_address("v4")
         v6 = relay.listen_address("v6")
