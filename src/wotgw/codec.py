@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from typing import Any, Iterable
 
 _EMPTY = frozenset()
@@ -34,20 +33,9 @@ class KeyCollisionError(ValueError):
     """A document key equals an existing short code, so encoding would not round-trip."""
 
     def __init__(self, path: str, key: str):
-        super().__init__(f"key {key!r} at {path or '/'} collides with a short code")
         self.path = path or "/"
+        super().__init__(f"key {key!r} at {self.path!r} collides with a short code")
         self.key = key
-
-
-class FloatToken(float):
-    """Float remembering its source text so re-serialization is byte-stable."""
-
-    __slots__ = ("text",)
-
-    def __new__(cls, text: str):
-        self = super().__new__(cls, text)
-        self.text = text
-        return self
 
 
 class MappingDictionary:
@@ -75,7 +63,6 @@ class MappingDictionary:
 
     def __repr__(self) -> str:
         return f"MappingDictionary({self.name!r}, {len(self.entries)} entries)"
-
 
 
 def validate_entries(entries, lines=None) -> None:
@@ -212,81 +199,34 @@ def _find_key_path(value: Any, key: str, forbidden: frozenset, path: str = "") -
 
 # --- canonical serialization -------------------------------------------------
 #
-# Minified, insertion-ordered serialization is the byte-count and wire basis;
-# the key-sorted variant feeds digests so that whitespace and key order do not
-# split cache keys. Floats parsed via parse_json() re-emit their source text.
+# The standard library's C encoder writes both forms. Minified, insertion-
+# ordered bytes are the wire and byte-count basis; the key-sorted variant
+# feeds digests so that whitespace and key order do not split cache keys.
+# Numbers are re-emitted in Python's shortest round-trip form: each keeps its
+# IEEE-754 value but not its spelling (0.50 -> 0.5, 1E2 -> 100.0). Encoding
+# raises ValueError for a non-finite number or a lone surrogate, and
+# TypeError for a value JSON has no form for.
+
+_OPTIONS = dict(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+_MIN = json.JSONEncoder(**_OPTIONS)
+_SORTED = json.JSONEncoder(sort_keys=True, **_OPTIONS)
 
 
 def parse_json(data: bytes | str) -> Any:
-    """Parse JSON preserving float source tokens (see FloatToken)."""
+    """Parse a JSON document from UTF-8 bytes or a str."""
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
-    return json.loads(data, parse_float=FloatToken)
-
-
-def dumps_min(value: Any) -> str:
-    """Minified serialization, object keys in insertion order."""
-    out: list[str] = []
-    _write(value, out, sort=False)
-    return "".join(out)
-
-
-def dumps_sorted(value: Any) -> str:
-    """Minified serialization with object keys sorted (digest basis)."""
-    out: list[str] = []
-    _write(value, out, sort=True)
-    return "".join(out)
-
-
-def _write(value: Any, out: list[str], sort: bool) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, FloatToken):
-        out.append(value.text)
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite number not representable in JSON: {value}")
-        out.append(repr(value))
-    elif isinstance(value, dict):
-        out.append("{")
-        first = True
-        items = sorted(value.items()) if sort else value.items()
-        for key, sub in items:
-            if not isinstance(key, str):
-                raise TypeError(f"object key must be a string, got {type(key).__name__}")
-            if not first:
-                out.append(",")
-            first = False
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(":")
-            _write(sub, out, sort)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _write(item, out, sort)
-        out.append("]")
-    else:
-        raise TypeError(f"not JSON-serializable: {type(value).__name__}")
+    return json.loads(data)
 
 
 def canonical_bytes(value: Any) -> bytes:
-    return dumps_min(value).encode("utf-8")
+    """Minified serialization, object keys in insertion order."""
+    return _MIN.encode(value).encode("utf-8")
 
 
 def digest_value(value: Any) -> str:
     """Digest of the key-sorted minified serialization."""
-    return hashlib.sha256(dumps_sorted(value).encode("utf-8")).hexdigest()
+    return hashlib.sha256(_SORTED.encode(value).encode("utf-8")).hexdigest()
 
 
 def digest_bytes(data: bytes) -> str:

@@ -505,9 +505,12 @@ class Gateway:
             return [Candidate(record.family, record.host, record.port)]
         from wotgw.socks import SocksConnectRequest, resolve_target
 
-        candidates = resolve_target(
-            SocksConnectRequest("domain", record.host, record.port), self.resolver
-        )
+        try:
+            candidates = resolve_target(
+                SocksConnectRequest("domain", record.host, record.port), self.resolver
+            )
+        except SocksError as exc:
+            raise DeviceUnavailable(str(exc))
         record.family = candidates[0].family if len({c.family for c in candidates}) == 1 else record.family
         return candidates
 
@@ -741,11 +744,15 @@ class Gateway:
         listener_family: str,
         key: CacheKey | None,
     ) -> tuple[int, list[tuple[str, str]], bytes]:
+        body_out = body
         if doc is not NOT_JSON:
-            coded = codec.encode_keys(doc, record.mapping)
-            body_out = codec.canonical_bytes(coded)
-        else:
-            body_out = body
+            try:
+                body_out = codec.canonical_bytes(codec.encode_keys(doc, record.mapping))
+            except ValueError as exc:  # a key collision, a non-finite number, a lone surrogate
+                return self._json_response(
+                    400, {"error": "bad_body", "device": record.device_id, "detail": str(exc)},
+                    device=record,
+                )
 
         try:
             status, content_type, raw = self.forward_to_device(

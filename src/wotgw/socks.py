@@ -258,7 +258,7 @@ def resolve_target(request: SocksConnectRequest, policy: ResolverPolicy) -> list
         infos = socket.getaddrinfo(
             request.address, request.port, socket.AF_UNSPEC, socket.SOCK_STREAM
         )
-    except socket.gaierror as exc:
+    except (socket.gaierror, UnicodeError) as exc:  # UnicodeError: IDNA refuses the name
         raise SocksError(f"cannot resolve {request.address!r}: {exc}", REP_HOST_UNREACHABLE)
     seen = set()
     candidates = []

@@ -33,9 +33,10 @@ class _LineReader:
         self._thread.start()
 
     def _drain(self, pipe):
-        for line in pipe:
-            with self._lock:
-                self.lines.append(line.rstrip("\n"))
+        with pipe:  # closed at EOF, once the process has exited
+            for line in pipe:
+                with self._lock:
+                    self.lines.append(line.rstrip("\n"))
 
     def wait_for(self, needle, timeout=30.0):
         deadline = time.monotonic() + timeout
@@ -54,7 +55,7 @@ class _LineReader:
 def spawn(*args):
     return subprocess.Popen(
         CMD + list(args),
-        stdout=subprocess.PIPE,
+        stdout=subprocess.DEVNULL,  # nothing reads it, so no pipe to leave open
         stderr=subprocess.PIPE,
         text=True,
     )
@@ -142,9 +143,11 @@ class TestGatewayCommand:
         port = blocker.getsockname()[1]
         try:
             config = self._config(tmp_path)
-            doc = json.loads(open(config).read())
+            with open(config) as fh:
+                doc = json.load(fh)
             doc["gateway"]["listen_v4"] = f"127.0.0.1:{port}"
-            open(config, "w").write(json.dumps(doc))
+            with open(config, "w") as fh:
+                json.dump(doc, fh)
             result = run_cli("gateway", "--config", config)
             assert result.returncode == 2
             assert "cannot bind" in result.stderr

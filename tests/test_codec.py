@@ -5,14 +5,12 @@ import pytest
 from wotgw import codec
 from wotgw.codec import (
     EMPTY_MAPPING,
-    FloatToken,
     KeyCollisionError,
     MappingDictionary,
     MappingError,
     canonical_bytes,
     decode_keys,
     digest_value,
-    dumps_min,
     encode_keys,
     load_mapping,
     load_mapping_json,
@@ -169,16 +167,16 @@ class TestEncodeDecode:
 
 
 class TestSerialization:
-    def test_float_tokens_are_byte_stable(self):
-        doc = parse_json(b'{"a":86.28,"b":5.835,"c":0.50}')
-        assert canonical_bytes(doc) == b'{"a":86.28,"b":5.835,"c":0.50}'
+    def test_numbers_take_shortest_round_trip_form(self):
+        doc = parse_json(b'{"c":0.50,"d":1E2,"n":123456789012345678901234567890}')
+        assert canonical_bytes(doc) == b'{"c":0.5,"d":100.0,"n":123456789012345678901234567890}'
 
     def test_plain_float_uses_repr(self):
-        assert dumps_min({"x": 0.1}) == '{"x":0.1}'
+        assert canonical_bytes({"x": 0.1}) == b'{"x":0.1}'
 
     def test_insertion_order_preserved(self):
         doc = parse_json(b'{"b":1,"a":2}')
-        assert dumps_min(doc) == '{"b":1,"a":2}'
+        assert canonical_bytes(doc) == b'{"b":1,"a":2}'
 
     def test_digest_ignores_whitespace_and_key_order(self):
         a = parse_json(b'{ "b": 1, "a": [1, 2] }')
@@ -188,13 +186,13 @@ class TestSerialization:
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            dumps_min({"x": float("inf")})
+            canonical_bytes({"x": float("inf")})
 
     def test_unserializable_type_rejected(self):
         with pytest.raises(TypeError):
-            dumps_min({"x": object()})
+            canonical_bytes({"x": object()})
         with pytest.raises(TypeError):
-            dumps_min({1: "non-string key"})
+            canonical_bytes({(1, 2): "non-string key"})
 
 
 class TestPayloadSizeDelta:

@@ -359,6 +359,21 @@ class TestRouting:
             assert body == b'{"error":"body_too_large"}'
             assert sim_v4.request_count == 0
 
+    @pytest.mark.parametrize("body", [
+        b'{"DN":1}',  # a key equal to a short code
+        b'{"x":NaN}',
+        b'{"x":1e400}',  # parses to infinity
+        b'{"x":"\\ud800"}',  # a lone surrogate has no UTF-8 form
+        b'{"\\ud800":{"DN":1}}',  # a collision under a key with no UTF-8 form
+    ], ids=["collision", "nan", "overflow", "surrogate", "surrogate-path"])
+    def test_body_the_codec_cannot_code_is_400(self, sim_v4, body):
+        with running(make_config([power_device(sim_v4)])) as gw:
+            status, headers, reply = _request(gw.listen_address("v4"), "POST", "/devices/power/power", body)
+            assert status == 400
+            assert codec.parse_json(reply)["error"] == "bad_body"
+            assert headers["X-WoT-Device"] == "power"
+            assert sim_v4.request_count == 0
+
 
 class TestCachePolicy:
     def test_no_cache_header_bypasses_and_refreshes(self, sim_v4):
@@ -442,6 +457,14 @@ class TestCachePolicy:
             status, headers, _ = _request(addr, "POST", "/devices/power/power", spaced)
             assert status == 200
             assert headers["X-WoT-Cache"] == "hit"
+            assert sim_v4.request_count == 1
+
+    def test_equal_numbers_in_other_spellings_share_entry(self, sim_v4):
+        with running(make_config([power_device(sim_v4)])) as gw:
+            addr = gw.listen_address("v4")
+            for spelling in (b"1.50", b"1.5"):
+                body = b'{"values":[{"NoOfDevices":[2]}],"x":' + spelling + b"}"
+                assert _request(addr, "POST", "/devices/power/power", body)[0] == 200
             assert sim_v4.request_count == 1
 
     def test_single_flight_coalesces_concurrent_misses(self, sim_v4):
@@ -617,6 +640,16 @@ class TestHealthAndOutage:
                 assert _request(addr, "GET", "/devices/power/status")[0] == 200
             finally:
                 sim2.stop()
+
+    def test_device_name_the_resolver_lacks_is_unavailable(self, tmp_path):
+        table = tmp_path / "hosts"
+        table.write_text("other.device v4 127.0.0.1\n")
+        device = DeviceConfig(device_id="power", endpoint="unlisted.device:80",
+                              mapping_inline=dict(POWER_MAP))
+        with running(make_config([device], socks_resolver=f"static:{table}")) as gw:
+            status, _, body = _request(gw.listen_address("v4"), "GET", "/devices/power/status")
+            assert (status, codec.parse_json(body)) == (503, {"status": "device_unavailable", "device": "power"})
+            assert gw.probe_device("power") == "down"
 
     def test_timeout_maps_to_504(self, sim_v4):
         sim_v4.inject_behavior(latency=1.0)

@@ -429,6 +429,17 @@ class TestLiveRelay:
         finally:
             sock.close()
 
+    def test_name_idna_refuses_is_host_unreachable(self, relay):
+        # a label over 63 bytes fails IDNA encoding before any lookup
+        sock = socket.create_connection(relay.listen_address("v4"), timeout=2.0)
+        try:
+            sock.sendall(b"\x05\x01\x00")
+            assert sock.recv(2) == b"\x05\x00"
+            sock.sendall(build_connect_request("a" * 64 + ".x", 80))
+            assert sock.recv(10)[:2] == bytes((SOCKS_VERSION, REP_HOST_UNREACHABLE))
+        finally:
+            sock.close()
+
     def test_no_acceptable_method_terminates(self, relay):
         sock = socket.create_connection(relay.listen_address("v4"), timeout=2.0)
         try:
