@@ -4,8 +4,9 @@ Speaks coded JSON on the wire: POST /power takes a coded query and returns
 the coded readings array; GET /status answers {"status":"ok"}. Latency,
 seeded failure injection (connection reset), and a power-save idle mode are
 configurable so gateway behavior is observable and reproducible. The server
-is intentionally weak — one OS thread per connection — which is exactly what
-the gateway's cache is meant to protect.
+is intentionally weak — one OS thread per connection, each feeding the
+gateway's HTTP/1.1 ``Connection`` from a blocking socket — which is exactly
+what the gateway's cache is meant to protect.
 """
 
 from __future__ import annotations
@@ -14,15 +15,15 @@ import json
 import logging
 import random
 import socket
+import socketserver
 import struct
 import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass
 
-from wotgw import codec
-from wotgw.http11 import JSON_TYPE, Handler, Listener
-from wotgw.socks import FAMILY_V4, FAMILY_V6
+from wotgw import FAMILY_V4, FAMILY_V6, codec
+from wotgw.http11 import JSON_TYPE, Connection
 
 log = logging.getLogger("wotgw.device")
 
@@ -104,12 +105,17 @@ def answer_power_query(coded_request, readings, mapping) -> list:
     return [codec.encode_keys(r.to_value(), mapping) for r in readings[:n]]
 
 
-class _SimHandler(Handler):
+class _SimConnection(Connection):
     methods = frozenset(("GET", "POST"))
+    server_version = "wotgw-sim/0.1"
+
+    def __init__(self, simulator: "DeviceSimulator"):
+        super().__init__()
+        self.simulator = simulator
 
     def respond(self, method, path, headers, body):
         """Count the request, apply the injected delays and failures, answer it."""
-        sim: DeviceSimulator = self.server.simulator
+        sim = self.simulator
         now = time.monotonic()
         with sim._lock:
             sim.request_counter += 1
@@ -120,12 +126,7 @@ class _SimHandler(Handler):
             napping = sim.power_save_idle > 0 and idle >= sim.power_save_idle
             wake = sim.wake_latency if napping else 0.0
         if fail:
-            # reset the TCP connection without an HTTP response
-            with suppress(OSError):
-                self.connection.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
-                )
-                self.connection.close()
+            self.transport.abort()  # reset the TCP connection without an HTTP response
             return None
         if wake or latency:
             time.sleep(wake + latency)
@@ -145,12 +146,120 @@ def _json(status: int, value):
     return status, [JSON_TYPE], codec.canonical_bytes(value)
 
 
-class _SimServer(Listener):
-    server_version = "wotgw-sim/0.1"
+class _SocketTransport:
+    """What a Connection calls on its transport, done on the blocking socket
+    of a handler thread."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.closing = False
+
+    def write(self, data: bytes) -> None:
+        try:
+            self.sock.sendall(data)
+        except OSError:  # the client is gone
+            self.closing = True
+
+    def write_eof(self) -> None:
+        self.sock.shutdown(socket.SHUT_WR)
+
+    def close(self) -> None:
+        self.closing = True
+
+    def abort(self) -> None:
+        with suppress(OSError):
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            self.sock.close()
+        self.closing = True
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+    def pause_reading(self) -> None:
+        pass
+
+    resume_reading = pause_reading
+
+
+class _SimServer(socketserver.ThreadingTCPServer):
+    """The simulator's listener: each accepted connection is served on a
+    daemon thread of its own, by the gateway's HTTP/1.1 Connection.
+
+    A v6 listener is v6-only, so a v4 and a v6 listener can share a port
+    number. Accepted connections have Nagle's algorithm off.
+    """
+
+    daemon_threads = True
+    allow_reuse_address = True
+    # socketserver's default backlog of 5 drops the SYNs of a burst of new
+    # clients, which then retry a second later
+    request_queue_size = 128
 
     def __init__(self, bind: tuple[str, int], family: int, simulator: "DeviceSimulator"):
+        self.address_family = family
         self.simulator = simulator
-        super().__init__(bind, family, _SimHandler)
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Condition()
+        self._thread: threading.Thread | None = None
+        super().__init__(bind, None)
+
+    def server_bind(self):
+        if self.address_family == socket.AF_INET6:
+            self.socket.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY, 1)
+        super().server_bind()
+
+    def start(self) -> None:
+        self._thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, name="device-sim", daemon=True
+        )
+        self._thread.start()
+
+    def stop(self) -> None:
+        """Close the listener, shut down every accepted connection, idle
+        keep-alive ones included, and wait up to 5 s for their threads."""
+        if self._thread is not None:
+            with suppress(OSError):  # wakes serve_forever from its poll
+                self.socket.shutdown(socket.SHUT_RDWR)
+            self.shutdown()
+            self._thread.join(5)
+        self.server_close()
+        with self._open_lock:
+            conns = list(self._open)
+        for conn in conns:
+            with suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+        with self._open_lock:
+            self._open_lock.wait_for(lambda: not self._open, 5)
+
+    def process_request(self, request, client_address):
+        request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def finish_request(self, request, client_address):
+        """Feed one connection's bytes to a Connection until either side ends it."""
+        transport = _SocketTransport(request)
+        conn = _SimConnection(self.simulator)
+        conn.connection_made(transport)
+        while not transport.closing:
+            try:
+                data = request.recv(65536)
+            except OSError:  # the client reset the connection
+                break
+            if not data:
+                conn.eof_received()
+                break
+            conn.data_received(data)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self._open_lock:
+            self._open.discard(request)
+            self._open_lock.notify_all()
+
+    def handle_error(self, request, client_address):
+        log.exception("connection from %s failed", client_address)
 
 
 class DeviceSimulator:
@@ -197,7 +306,7 @@ class DeviceSimulator:
             return self.request_counter
 
     def start(self) -> "DeviceSimulator":
-        self._server.start("device-sim")
+        self._server.start()
         log.info("simulator listening addr=%s family=%s", self.address, self.family)
         return self
 

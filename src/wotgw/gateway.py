@@ -8,7 +8,13 @@ matching families connect directly. Device-leg connections are persistent
 HTTP/1.1 and pooled per device and leg, so a relay tunnel carries many
 requests. Devices that stop answering are reported with a 503 outage body and
 probed back to health. Both legs speak HTTP/1.1 through the framer of
-``wotgw.http11``, whose ``read_head`` parses every request and reply head.
+``wotgw.http11``, whose ``check_line`` and ``parse_head`` take every request
+and reply head.
+
+One event loop on one thread serves every socket of the gateway: client
+connections, pooled device-leg connections and the embedded relay's
+sessions. A cache hit is answered inside the client connection's
+``data_received``; a miss awaits its device connection on the same loop.
 """
 
 from __future__ import annotations
@@ -17,26 +23,19 @@ import ipaddress
 import json
 import logging
 import math
-import select
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
 
-from wotgw import codec, http11
+from wotgw import codec, http11, socks
 from wotgw.cache import NOT_JSON, CacheEntry, CacheKey, ResponseCache, parse_body
-from wotgw.config import DeviceConfig, GatewayConfig, format_hostport, parse_hostport
+from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, format_hostport, parse_hostport
 from wotgw.guard import DosGuard
-from wotgw.socks import (
-    FAMILY_V4,
-    FAMILY_V6,
-    Candidate,
-    ResolverPolicy,
-    SocksError,
-    SocksRelayServer,
-    load_static_table,
-    socks_connect,
-)
+# socks_connect is not called here; perfbench's traced run patches this name
+from wotgw.socks import FAMILY_V4, FAMILY_V6, Candidate, SocksError, socks_connect  # noqa: F401
+
+import asyncio  # noqa: E402  after the package's modules; see wotgw.http11
 
 log = logging.getLogger("wotgw.gateway")
 
@@ -78,91 +77,68 @@ class DeviceProtocolError(Exception):
     """The device answered, but not with parseable HTTP/JSON."""
 
 
-class _DeviceConn:
-    """A device-leg connection: its socket and the bytes read past the last reply."""
-
-    __slots__ = ("sock", "_buf")
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self._buf = bytearray()
-
-    def close(self) -> None:
-        self.sock.close()
-
-    def pending(self) -> bool:
-        """True when bytes past the last reply were read."""
-        return bool(self._buf)
-
-    def fill(self) -> bool:
-        """Receive more bytes into the buffer; False at EOF."""
-        data = self.sock.recv(65536)
-        self._buf += data
-        return bool(data)
-
-    def readline(self, limit: int) -> bytes:
-        """The next line, at most ``limit`` bytes of it; shorter at EOF."""
-        buf = self._buf
-        while True:
-            end = buf.find(b"\n", 0, limit)
-            if end >= 0:
-                cut = end + 1
-                break
-            if len(buf) >= limit or not self.fill():
-                cut = limit
-                break
-        line = bytes(buf[:cut])
-        del buf[:cut]
-        return line
-
-    def read(self, n: int) -> bytes:
-        """Exactly ``n`` bytes; raises EOFError when the device closes first."""
-        while len(self._buf) < n:
-            if not self.fill():
-                raise EOFError(f"device closed {n - len(self._buf)} bytes short of the body")
-        data = bytes(self._buf[:n])
-        del self._buf[:n]
-        return data
-
-    def read_to_eof(self) -> bytes:
-        while self.fill():
-            pass
-        data = bytes(self._buf)
-        self._buf.clear()
-        return data
-
-    def read_chunked(self) -> bytes:
-        """A chunked body (RFC 9112 section 7.1); trailer fields are dropped."""
-        parts = []
-        while True:
-            line = self.readline(http11.MAX_LINE + 1)
-            if line[-1:] != b"\n":
-                if len(line) > http11.MAX_LINE:
-                    raise http11.FramingError(502, "chunk size line too long")
-                raise EOFError("device closed inside a chunk size line")
-            size = line.partition(b";")[0].strip()
-            if not size or len(size) > 15 or size.strip(b"0123456789abcdefABCDEF"):
-                raise http11.FramingError(502, "bad chunk size")
-            n = int(size, 16)
-            if n == 0:
-                http11.read_fields(self.readline)
-                return b"".join(parts)
-            parts.append(self.read(n))
-            if self.read(2) != b"\r\n":
-                raise http11.FramingError(502, "chunk not followed by CRLF")
+async def _line(reader: asyncio.StreamReader) -> bytes:
+    """The next line of a reply, its end included; b"" at EOF."""
+    try:
+        line = await reader.readline()
+    except ValueError:  # longer than the reader's limit, MAX_LINE
+        raise http11.FramingError(502, "line too long") from None
+    if line and line[-1:] != b"\n":
+        raise EOFError("device closed inside a line")
+    return line
 
 
-def _read_reply(conn: _DeviceConn, method: str) -> tuple[int, str, bytes, bool]:
+async def _read_head(reader: asyncio.StreamReader) -> tuple[str, http11.Headers] | None:
+    """One reply head; None when the device closed before sending a byte of it."""
+    lines: list[bytes] = []
+    while line := await _line(reader):
+        if line not in http11.BLANK:
+            http11.check_line(len(line), len(lines))
+            lines.append(line)
+        elif lines:
+            return http11.parse_head(lines)
+    if lines:
+        raise EOFError("device closed inside a head")
+    return None
+
+
+async def _read_chunked(reader: asyncio.StreamReader) -> bytes:
+    """A chunked body (RFC 9112 section 7.1); trailer fields are dropped."""
+    parts = []
+    while True:
+        line = await _line(reader)
+        if not line:
+            raise EOFError("device closed inside a chunked body")
+        size = line.partition(b";")[0].strip()
+        if not size or len(size) > 15 or size.strip(b"0123456789abcdefABCDEF"):
+            raise http11.FramingError(502, "bad chunk size")
+        n = int(size, 16)
+        if n == 0:
+            break
+        parts.append(await reader.readexactly(n))
+        if await reader.readexactly(2) != b"\r\n":
+            raise http11.FramingError(502, "chunk not followed by CRLF")
+    while (line := await _line(reader)) not in http11.BLANK:
+        if not line:
+            raise EOFError("device closed inside the trailer")
+    return b"".join(parts)
+
+
+async def _read_reply(reader: asyncio.StreamReader, method: str) -> tuple[int, str, bytes, bool]:
     """Read one device reply: (status, content type, body, reusable).
 
     1xx interim replies are skipped. A reply ends at its Content-Length, at
     its last chunk, or at EOF. The connection is reusable only after an
     HTTP/1.1 reply framed by length or chunks and without Connection: close.
+    Raises _Unanswered when the connection ends before the reply's first byte.
     """
+    try:
+        head = await _read_head(reader)
+    except OSError:  # a reset before the reply's first byte
+        head = None
+    if head is None:
+        raise _Unanswered("device closed the connection without answering")
     while True:
-        head = http11.read_head(conn.readline)
-        if head is None:
-            raise EOFError("device closed the connection inside its reply")
         start, headers = head
         version, _, rest = start.partition(" ")
         code = rest[:3]
@@ -177,6 +153,9 @@ def _read_reply(conn: _DeviceConn, method: str) -> tuple[int, str, bytes, bool]:
         status = int(code)
         if status >= 200:
             break
+        head = await _read_head(reader)
+        if head is None:
+            raise EOFError("device closed the connection after an interim reply")
     connection = headers.get("connection")
     keep = version != "HTTP/1.0" and not (connection and "close" in http11.tokens(connection))
     encoding = headers.get("transfer-encoding")
@@ -184,58 +163,79 @@ def _read_reply(conn: _DeviceConn, method: str) -> tuple[int, str, bytes, bool]:
     if method == "HEAD" or status in (204, 304):
         data = b""
     elif encoding is not None and http11.tokens(encoding)[-1] == "chunked":
-        data = conn.read_chunked()
+        data = await _read_chunked(reader)
         keep = keep and length is None  # both framings: RFC 9112 section 6.1 says close
     elif encoding is None and length is not None:
         if not (length.isascii() and length.isdigit()) or len(length) > 15:
             raise http11.FramingError(502, f"bad Content-Length {length[:80]!r}")
-        data = conn.read(int(length))
+        data = await reader.readexactly(int(length))
     else:
-        data, keep = conn.read_to_eof(), False
+        data, keep = await reader.read(), False
     return status, headers.get("content-type", "application/json"), data, keep
 
 
-def _readable(sock: socket.socket) -> bool:
-    """True when a read would not block: EOF, an error, or unread bytes."""
-    poller = select.poll()
-    poller.register(sock, select.POLLIN)
-    return bool(poller.poll(0))
+class _Upstream:
+    """A device-leg connection, direct or through a relay tunnel, carrying
+    one exchange at a time."""
+
+    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+        self.reader, self.writer = reader, writer
+
+    def reusable(self) -> bool:
+        """Open, with nothing unread: no stray bytes, no EOF and no error."""
+        reader = self.reader
+        # a StreamReader shows no public count of its buffered bytes
+        return not (reader._buffer or reader.at_eof() or reader.exception())
+
+    def close(self) -> None:
+        self.writer.close()
+
+    async def exchange(self, message: bytes, timeout: float, method: str):
+        """Send ``message`` and read the reply; see ``_read_reply``.
+
+        Raises DeviceTimeout after ``timeout`` seconds, _Unanswered when the
+        connection ends before any byte of the reply and DeviceUnavailable
+        when it ends inside one.
+        """
+        self.writer.write(message)
+        try:
+            return await asyncio.wait_for(_read_reply(self.reader, method), timeout)
+        except asyncio.TimeoutError:
+            raise DeviceTimeout("device timed out") from None
+        except (EOFError, OSError) as exc:  # a device that died mid-reply is unavailable, not a protocol error
+            raise DeviceUnavailable(f"device connection failed: {exc}") from None
 
 
 class IdlePool:
     """Idle keep-alive connections to one device, LIFO per leg, capped.
 
-    Nothing blocks on the pool: ``take`` returns None when no live idle
-    connection is left and the caller opens a new one. Once closed, the pool
-    closes whatever is handed back to it.
+    Used on the loop thread only. ``take`` returns None when no reusable
+    idle connection is left and the caller opens a new one. Once closed,
+    the pool closes whatever is handed back to it.
     """
 
     def __init__(self):
-        self._idle: dict[tuple, list[tuple[_DeviceConn, float]]] = {}
-        self._lock = threading.Lock()
+        self._idle: dict[tuple, list[tuple[_Upstream, float]]] = {}
         self._closed = False
 
-    def take(self, leg: tuple, now: float) -> tuple[_DeviceConn | None, int]:
-        """Pop a live idle connection; also returns how many dead ones were closed."""
+    def take(self, leg: tuple, now: float) -> tuple[_Upstream | None, int]:
+        """Pop a reusable idle connection; also returns how many unfit ones were closed."""
+        idle = self._idle.get(leg)
         discarded = 0
-        while True:
-            with self._lock:
-                idle = self._idle.get(leg)
-                if not idle:
-                    return None, discarded
-                conn, since = idle.pop()
-            if now - since <= POOL_IDLE_SECONDS and not _readable(conn.sock):
+        while idle:
+            conn, since = idle.pop()
+            if now - since <= POOL_IDLE_SECONDS and conn.reusable():
                 return conn, discarded
             conn.close()
             discarded += 1
+        return None, discarded
 
-    def give(self, leg: tuple, conn: _DeviceConn, now: float) -> bool:
+    def give(self, leg: tuple, conn: _Upstream, now: float) -> bool:
         """Keep ``conn`` for reuse, or close it when the pool is full or closed."""
-        with self._lock:
-            idle = self._idle.setdefault(leg, [])
-            if not self._closed and len(idle) < POOL_MAX_IDLE:
-                idle.append((conn, now))
-                return True
+        idle = self._idle.setdefault(leg, [])
+        if not self._closed and len(idle) < POOL_MAX_IDLE:
+            idle.append((conn, now))
+            return True
         conn.close()
         return False
 
@@ -245,16 +245,13 @@ class IdlePool:
 
     def close(self) -> int:
         """Close every idle connection and refuse later ones; returns how many."""
-        with self._lock:
-            self._closed = True
+        self._closed = True
         return self._drop(lambda since: True)
 
     def _drop(self, expired) -> int:
-        with self._lock:
-            dropped = []
-            for idle in self._idle.values():
-                dropped += [conn for conn, since in idle if expired(since)]
-                idle[:] = [(conn, since) for conn, since in idle if not expired(since)]
+        dropped = [conn for idle in self._idle.values() for conn, since in idle if expired(since)]
+        for idle in self._idle.values():
+            idle[:] = [(conn, since) for conn, since in idle if not expired(since)]
         for conn in dropped:
             conn.close()
         return len(dropped)
@@ -272,7 +269,6 @@ class DeviceRecord:
     health_path: str = "/status"
     last_probe: float | None = None
     consecutive_failures: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     pool: IdlePool = field(default_factory=IdlePool, repr=False)
 
     def describe(self) -> dict:
@@ -319,18 +315,17 @@ def _normalize_client_ip(host: str) -> str:
     return (mapped or addr).compressed
 
 
-class _Flight:
-    """One in-progress forward that identical concurrent requests wait on."""
-
-    __slots__ = ("done", "response")
-
-    def __init__(self):
-        self.done = threading.Event()
-        self.response = None
+async def _call(fn, *args):
+    return fn(*args)
 
 
 class Gateway:
-    """Pipeline state shared by all listeners: registry, cache, guard, relay."""
+    """Pipeline state shared by all listeners: registry, cache, guard, relay.
+
+    ``start`` runs the event loop thread that serves every socket; the
+    public methods that wait on the network (``handle_client_request``,
+    ``forward_to_device``, ``probe_device``) are for callers off that loop.
+    """
 
     def __init__(self, config: GatewayConfig):
         self.config = config
@@ -348,56 +343,47 @@ class Gateway:
             idle_purge_seconds=config.dos_idle_purge_seconds,
         )
         self.resolver = self._build_resolver(config.socks_resolver)
-        self.relay: SocksRelayServer | None = None
+        self.relay: socks.SocksRelayServer | None = None
         if config.relay_enabled:
-            self.relay = SocksRelayServer(
+            self.relay = socks.SocksRelayServer(
                 listen_v4=config.socks_listen_v4,
                 listen_v6=config.socks_listen_v6,
                 resolver=self.resolver,
                 connect_timeout=config.request_timeout_seconds,
             )
-        self._servers: dict[str, _GatewayServer] = {}
-        self._prober: threading.Thread | None = None
-        self._stop = threading.Event()
+        self._thread: http11.LoopThread | None = None
+        self._servers: dict[str, asyncio.Server] = {}
+        self._clients: set[_ClientLeg] = set()
+        self._prober: asyncio.Task | None = None
         self._stats_lock = threading.Lock()
         self.requests_total = 0
         self.client_leg_bytes = 0
         self.device_leg_bytes = 0
         self.pool_counts = {"opened": 0, "reused": 0, "discarded": 0}
-        self._inflight: dict[CacheKey, _Flight] = {}
-        self._inflight_lock = threading.Lock()
+        self._inflight: dict[CacheKey, asyncio.Future] = {}
 
     @staticmethod
-    def _build_resolver(spec: str) -> ResolverPolicy:
+    def _build_resolver(spec: str) -> socks.ResolverPolicy:
         if spec == "system":
-            return ResolverPolicy()
+            return socks.ResolverPolicy()
         path = spec.split(":", 1)[1]
         with open(path, encoding="utf-8") as fh:
-            return ResolverPolicy(static_table=load_static_table(fh.read()))
+            return socks.ResolverPolicy(static_table=socks.load_static_table(fh.read()))
 
     # -- lifecycle --
 
     def start(self) -> "Gateway":
-        """Start the relay, the HTTP listeners and the prober; a start that
-        fails stops whatever it started before raising."""
+        """Start the loop thread, then on it the relay, the HTTP listeners
+        and the prober; a start that fails stops whatever it started before
+        raising."""
         for cfg in self.config.devices:
             self.register_device_config(cfg)
+        self._thread = http11.LoopThread("gateway-loop")
         try:
-            if self.relay is not None:
-                self.relay.start()
-            for family, spec in ((FAMILY_V4, self.config.listen_v4), (FAMILY_V6, self.config.listen_v6)):
-                if spec is None:
-                    continue
-                server = self._servers[family] = _GatewayServer(spec, self, family)
-                server.start(f"gateway-http-{family}")
-            if not self._servers:
-                raise ValueError("gateway needs at least one HTTP listener")
+            self._thread.run(self._open())
         except BaseException:
             self.stop()
             raise
-        if self.config.probe_interval_seconds > 0:
-            self._prober = threading.Thread(target=self._probe_loop, name="gateway-prober", daemon=True)
-            self._prober.start()
         log.info(
             "gateway ready listen_v4=%s listen_v6=%s relay=%s",
             self.listen_address(FAMILY_V4),
@@ -406,28 +392,59 @@ class Gateway:
         )
         return self
 
+    async def _open(self) -> None:
+        if self.relay is not None:
+            await self.relay.open()
+        loop = asyncio.get_running_loop()
+        for family, spec in ((FAMILY_V4, self.config.listen_v4), (FAMILY_V6, self.config.listen_v6)):
+            if spec is not None:
+                self._servers[family] = await loop.create_server(
+                    lambda family=family: _ClientLeg(self, family), *spec, family=_AF[family], backlog=128
+                )
+        if not self._servers:
+            raise ValueError("gateway needs at least one HTTP listener")
+        if self.config.probe_interval_seconds > 0:
+            self._prober = loop.create_task(self._probe_loop())
+
     def stop(self) -> None:
-        """Close the listeners and every client connection, the device-leg
-        pools and the relay."""
-        self._stop.set()
+        """Close the listeners, every client connection, the device-leg
+        pools and the relay's sessions, so peers read EOF; then cancel the
+        requests still waiting for a device and stop the loop thread."""
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            thread.run(self._close())
+            thread.stop()
+
+    async def _close(self) -> None:
         for server in self._servers.values():
-            server.stop()
+            server.close()
         self._servers.clear()
-        if self._prober:
-            self._prober.join(timeout=5)
+        for conn in list(self._clients):
+            conn.close()
         for record in self.registry.all():
             self._count_pool("discarded", record.pool.close())
         if self.relay is not None:
-            self.relay.stop()
+            await self.relay.close()
+        await asyncio.sleep(0)  # lets the closed transports call connection_lost
 
     def listen_address(self, family: str) -> tuple[str, int] | None:
         server = self._servers.get(family)
-        return server.server_address[:2] if server else None
+        return server.sockets[0].getsockname()[:2] if server else None
+
+    def _run(self, coro):
+        """Run ``coro`` on the loop from another thread and return its result."""
+        if self._thread is None:
+            coro.close()
+            raise RuntimeError("the gateway is not running")
+        return self._thread.run(coro)
 
     # -- registration --
 
     def register_device_config(self, cfg: DeviceConfig, replace: bool = False) -> DeviceRecord:
         host, port, family = parse_hostport(cfg.endpoint)
+        if not http11.valid_path(cfg.health_path):
+            # pasted into the probe's request line, so it must not end that line
+            raise ConfigError(f"device {cfg.device_id}: bad health_path {cfg.health_path!r}")
         if cfg.mapping_file is not None:
             mapping = codec.load_mapping_file(cfg.mapping_file, name=cfg.device_id)
         elif cfg.mapping_inline is not None:
@@ -453,18 +470,22 @@ class Gateway:
         if previous is not None:
             self.cache.invalidate_device(record.device_id)
             if previous is not record:
-                self._count_pool("discarded", previous.pool.close())
+                # the pool's connections belong to the loop thread
+                off_loop = self._thread is not None and threading.get_ident() != self._thread.thread.ident
+                closed = self._run(_call(previous.pool.close)) if off_loop else previous.pool.close()
+                self._count_pool("discarded", closed)
         log.info("registered device id=%s endpoint=%s:%s family=%s",
                  record.device_id, record.host, record.port, record.family or "unknown")
 
     # -- health --
 
-    def _probe_loop(self) -> None:
-        while not self._stop.wait(self.config.probe_interval_seconds):
+    async def _probe_loop(self) -> None:
+        while True:
+            await asyncio.sleep(self.config.probe_interval_seconds)
             now = time.monotonic()
             for record in self.registry.all():
                 try:
-                    self.probe_device(record.device_id)
+                    await self._probe(record)
                 except Exception:
                     log.exception("probe failed for %s", record.device_id)
                 self._count_pool("discarded", record.pool.sweep(now))
@@ -474,8 +495,11 @@ class Gateway:
         record = self.registry.get(device_id)
         if record is None:
             raise KeyError(device_id)
+        return self._run(self._probe(record))
+
+    async def _probe(self, record: DeviceRecord) -> str:
         try:
-            status, _, _ = self.forward_to_device(record, "GET", record.health_path, b"", None)
+            status, _, _ = await self._forward(record, "GET", record.health_path, b"", None)
             ok = 200 <= status < 300
         except (DeviceUnavailable, DeviceProtocolError):
             ok = False
@@ -483,81 +507,77 @@ class Gateway:
 
     def _note_health(self, record: DeviceRecord, ok: bool, probed: bool = False) -> str:
         """Apply one probe or forward outcome to the device's health state."""
-        with record.lock:
-            if probed:
-                record.last_probe = time.monotonic()
-            if ok:
-                record.consecutive_failures = 0
-                record.health = HEALTH_UP
-            else:
-                record.consecutive_failures += 1
-                if record.health == HEALTH_UNKNOWN or (
-                    record.health == HEALTH_UP
-                    and record.consecutive_failures >= self.config.failure_threshold
-                ):
-                    record.health = HEALTH_DOWN
-            return record.health
+        if probed:
+            record.last_probe = time.monotonic()
+        if ok:
+            record.consecutive_failures = 0
+            record.health = HEALTH_UP
+        else:
+            record.consecutive_failures += 1
+            if record.health == HEALTH_UNKNOWN or (
+                record.health == HEALTH_UP
+                and record.consecutive_failures >= self.config.failure_threshold
+            ):
+                record.health = HEALTH_DOWN
+        return record.health
 
     # -- forwarding --
 
-    def _candidates(self, record: DeviceRecord) -> list[Candidate]:
+    async def _candidates(self, record: DeviceRecord) -> list[Candidate]:
         if record.family is not None:
             return [Candidate(record.family, record.host, record.port)]
-        from wotgw.socks import SocksConnectRequest, resolve_target
-
         try:
-            candidates = resolve_target(
-                SocksConnectRequest("domain", record.host, record.port), self.resolver
+            candidates = await socks.resolve(
+                socks.SocksConnectRequest("domain", record.host, record.port), self.resolver
             )
         except SocksError as exc:
             raise DeviceUnavailable(str(exc))
         record.family = candidates[0].family if len({c.family for c in candidates}) == 1 else record.family
         return candidates
 
-    def _connect_direct(self, candidates: list[Candidate], timeout: float) -> socket.socket:
+    @staticmethod
+    async def _connect(addresses: list[tuple[str, int]], timeout: float) -> _Upstream:
         last: Exception = DeviceUnavailable("no candidates")
-        for cand in candidates:
-            sock = socket.socket(_AF[cand.family], socket.SOCK_STREAM)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(timeout)
+        for host, port in addresses:
             try:
-                sock.connect((cand.address, cand.port))
-                return sock
-            except OSError as exc:
-                sock.close()
+                connecting = asyncio.open_connection(host, port, limit=http11.MAX_LINE)
+                return _Upstream(*await asyncio.wait_for(connecting, timeout))
+            except (OSError, asyncio.TimeoutError) as exc:
                 last = exc
-        raise DeviceUnavailable(f"connect failed: {last}")
+        raise DeviceUnavailable(f"connect failed: {last!r}")
 
-    def _leg(self, record: DeviceRecord, listener_family: str | None):
-        """The pool key of the device leg and a function opening a new socket.
+    async def _leg(self, record: DeviceRecord, listener_family: str | None):
+        """The pool key of the device leg and a coroutine function opening a
+        new connection.
 
         Candidates of the listener's family (any family when it is None, as
         for health probes) are reached directly; otherwise through the relay.
         """
-        candidates = self._candidates(record)
+        candidates = await self._candidates(record)
         timeout = self.config.request_timeout_seconds
-        direct = [c for c in candidates if listener_family in (None, c.family)]
+        direct = [(c.address, c.port) for c in candidates if listener_family in (None, c.family)]
         if direct:
-            return ("direct", listener_family), lambda: self._connect_direct(direct, timeout)
+            return ("direct", listener_family), lambda: self._connect(direct, timeout)
         if self.relay is None:
             raise DeviceUnavailable(
                 f"device {record.device_id} is {candidates[0].family}-only, "
                 f"client leg is {listener_family}, and the relay is disabled"
             )
-        relay_addr = self.relay.listen_address(listener_family) or next(
-            addr
-            for addr in (
-                self.relay.listen_address(FAMILY_V4),
-                self.relay.listen_address(FAMILY_V6),
-            )
-            if addr is not None
-        )
+        listening = self.relay.listen_address
+        relay_addr = listening(listener_family) or listening(FAMILY_V4) or listening(FAMILY_V6)
 
-        def tunnel() -> socket.socket:
+        async def tunnel() -> _Upstream:
+            conn = await self._connect([relay_addr], timeout)
+            # the CONNECT request goes right behind the greeting
+            conn.writer.write(socks.GREETING + socks.build_connect_request(record.host, record.port))
             try:
-                return socks_connect(relay_addr, record.host, record.port, timeout)
-            except (SocksError, OSError) as exc:
-                raise DeviceUnavailable(f"relay connect failed: {exc}")
+                await asyncio.wait_for(socks.read_tunnel_reply(conn.reader), timeout)
+            except BaseException as exc:
+                conn.close()
+                if isinstance(exc, (SocksError, EOFError, OSError, asyncio.TimeoutError)):
+                    raise DeviceUnavailable(f"relay connect failed: {exc!r}") from None
+                raise
+            return conn
 
         return ("relay", relay_addr), tunnel
 
@@ -569,6 +589,10 @@ class Gateway:
         body: bytes,
         listener_family: str | None,
     ) -> tuple[int, str, bytes]:
+        """Send the coded request to the device and wait for its reply; see ``_forward``."""
+        return self._run(self._forward(record, method, path, body, listener_family))
+
+    async def _forward(self, record, method, path, body, listener_family) -> tuple[int, str, bytes]:
         """Send the coded request to the device, directly or through the relay.
 
         Uses a pooled keep-alive connection of the leg when a live one is
@@ -577,7 +601,7 @@ class Gateway:
         content_type, body). Raises DeviceTimeout, DeviceUnavailable, or
         DeviceProtocolError.
         """
-        leg, connect = self._leg(record, listener_family)
+        leg, connect = await self._leg(record, listener_family)
         conn, discarded = record.pool.take(leg, time.monotonic())
         self._count_pool("discarded", discarded)
         request = self._request_bytes(record, method, path, body)
@@ -586,10 +610,12 @@ class Gateway:
             if reused:
                 self._count_pool("reused")
             else:
-                conn = _DeviceConn(connect())
+                conn = await connect()
                 self._count_pool("opened")
             try:
-                status, content_type, data, keep = self._exchange(conn, request, method)
+                status, content_type, data, keep = await conn.exchange(
+                    request, self.config.request_timeout_seconds, method
+                )
             except _Unanswered:
                 conn.close()
                 if reused and method in _RETRYABLE_METHODS:
@@ -597,12 +623,15 @@ class Gateway:
                     conn = None
                     continue
                 raise
+            except http11.FramingError as exc:
+                conn.close()
+                raise DeviceProtocolError(f"malformed HTTP from device: {exc}")
             except BaseException:
                 conn.close()
                 raise
             if not keep:
                 conn.close()
-            elif conn.pending():  # bytes past the reply: the stream is out of step
+            elif not conn.reusable():  # bytes past the reply: the stream is out of step
                 conn.close()
                 self._count_pool("discarded")
             elif not record.pool.give(leg, conn, time.monotonic()):
@@ -617,24 +646,6 @@ class Gateway:
         elif method in _BODY_METHODS:
             head += "Content-Length: 0\r\n"
         return head.encode("latin-1") + b"\r\n" + body
-
-    @staticmethod
-    def _exchange(conn: _DeviceConn, request: bytes, method: str):
-        try:
-            try:
-                conn.sock.sendall(request)
-                if not conn.fill():
-                    raise _Unanswered("device closed the connection without answering")
-            except ConnectionError as exc:
-                raise _Unanswered(f"device connection failed: {exc}")
-            return _read_reply(conn, method)
-        except TimeoutError as exc:
-            raise DeviceTimeout(f"device timed out: {exc}")
-        except (OSError, EOFError) as exc:
-            # a device that died mid-reply is unavailable, not a protocol error
-            raise DeviceUnavailable(f"device connection failed: {exc}")
-        except http11.FramingError as exc:
-            raise DeviceProtocolError(f"malformed HTTP from device: {exc}")
 
     def _count_pool(self, name: str, n: int = 1) -> None:
         if n:
@@ -652,6 +663,14 @@ class Gateway:
         headers,
         body: bytes,
     ) -> tuple[int, list[tuple[str, str]], bytes]:
+        """The pipeline for a caller off the loop: the front half runs on the
+        calling thread, a miss on the loop."""
+        reply = self._front(client_ip, listener_family, method, path, headers, body)
+        return reply if isinstance(reply, tuple) else self._run(reply)
+
+    def _front(self, client_ip, listener_family, method, path, headers, body):
+        """Guard, route, health, parse, key and cache lookup: the response,
+        or a coroutine answering the miss on the loop."""
         now = time.monotonic()
         with self._stats_lock:
             self.requests_total += 1
@@ -689,52 +708,41 @@ class Gateway:
         ):
             key = CacheKey.for_request(device_id, method, device_path, body, doc)
 
-        flight: _Flight | None = None
         if key is not None and not bypass:
             entry = self.cache.get(key, time.monotonic())
             if entry is not None:
                 return self._device_response(record, entry.status, entry.body, "hit", count_client=len(body))
-            flight = self._claim_inflight(key)
-            if flight is None:
-                # another handler is already forwarding this key: share its answer
-                shared = self._await_inflight(key)
-                if shared is not None:
-                    status, headers, payload = shared
-                    if ("X-WoT-Cache", "miss") not in headers:
-                        return shared  # an outage or protocol error, passed on as is
-                    return self._device_response(record, status, payload, "hit", count_client=len(body))
-        try:
-            response = self._forward_pipeline(
-                record, method, device_path, body, doc, listener_family, key
-            )
-            if flight is not None:
-                flight.response = response
-            return response
-        finally:
-            if flight is not None:
-                self._release_inflight(key, flight)
+        return self._miss(record, method, device_path, body, doc, listener_family, key,
+                          share=key is not None and not bypass)
 
-    def _claim_inflight(self, key: CacheKey) -> _Flight | None:
-        with self._inflight_lock:
-            if key in self._inflight:
-                return None
-            flight = self._inflight[key] = _Flight()
-            return flight
+    async def _miss(self, record, method, device_path, body, doc, listener_family, key, share):
+        """Forward a miss; a shareable one waits for an identical miss in
+        flight and takes its answer."""
+        args = record, method, device_path, body, doc, listener_family, key
+        flight = self._inflight.get(key) if share else None
+        if flight is not None:
+            try:
+                wait = self.config.request_timeout_seconds + 1.0
+                shared = await asyncio.wait_for(asyncio.shield(flight), wait)
+            except asyncio.TimeoutError:  # not the builtin TimeoutError before Python 3.11
+                shared = None
+            if shared is not None:  # None: the request in flight failed or is slow, so forward anew
+                status, headers, payload = shared
+                if ("X-WoT-Cache", "miss") not in headers:
+                    return shared  # an outage or protocol error, passed on as is
+                return self._device_response(record, status, payload, "hit", count_client=len(body))
+        elif share:
+            flight = self._inflight[key] = asyncio.get_running_loop().create_future()
+            response = None
+            try:
+                response = await self._forward_pipeline(*args)
+                return response
+            finally:
+                del self._inflight[key]
+                flight.set_result(response)
+        return await self._forward_pipeline(*args)
 
-    def _await_inflight(self, key: CacheKey):
-        """The response of the request filling ``key``; None if it failed or took too long."""
-        with self._inflight_lock:
-            flight = self._inflight.get(key)
-        if flight is None or not flight.done.wait(self.config.request_timeout_seconds + 1.0):
-            return None
-        return flight.response
-
-    def _release_inflight(self, key: CacheKey, flight: _Flight) -> None:
-        with self._inflight_lock:
-            self._inflight.pop(key, None)
-        flight.done.set()
-
-    def _forward_pipeline(
+    async def _forward_pipeline(
         self,
         record: DeviceRecord,
         method: str,
@@ -755,7 +763,7 @@ class Gateway:
                 )
 
         try:
-            status, content_type, raw = self.forward_to_device(
+            status, content_type, raw = await self._forward(
                 record, method, device_path, body_out, listener_family
             )
         except DeviceTimeout:
@@ -872,26 +880,26 @@ class Gateway:
         }
 
 
-class _GatewayServer(http11.Listener):
-    def __init__(self, bind: tuple[str, int], gateway: Gateway, listener_family: str):
-        self.gateway = gateway
-        self.listener_family = listener_family
-        super().__init__(bind, _AF[listener_family], _GatewayHandler)
-
-
-class _GatewayHandler(http11.Handler):
+class _ClientLeg(http11.Connection):
     """One client connection; each request runs the admin API or the pipeline."""
 
     methods = frozenset(("GET", "POST", "PUT", "DELETE", "PATCH"))
 
-    def handle(self):
-        self.client_ip = _normalize_client_ip(self.client_address[0])
-        super().handle()
+    def __init__(self, gateway: Gateway, family: str):
+        super().__init__()
+        self.gateway = gateway
+        self.family = family
+
+    def connection_made(self, transport):
+        super().connection_made(transport)
+        self.client_ip = _normalize_client_ip(transport.get_extra_info("peername")[0])
+        self.gateway._clients.add(self)
+
+    def connection_lost(self, exc):
+        self.gateway._clients.discard(self)
 
     def respond(self, method, path, headers, body):
-        gateway: Gateway = self.server.gateway
+        gateway = self.gateway
         if path == "/admin" or path.startswith("/admin/"):
             return gateway.admin_request(method, path, body)
-        return gateway.handle_client_request(
-            self.client_ip, self.server.listener_family, method, path, headers, body
-        )
+        return gateway._front(self.client_ip, self.family, method, path, headers, body)

@@ -1,7 +1,8 @@
-"""What the gateway, the relay and the device simulator share: ``Listener``,
-the TCP listener all three run; ``Handler``, the HTTP/1.1 request loop of the
-gateway and the simulator; and the framer, whose ``read_head`` parses every
-request and reply head on both gateway legs.
+"""What the gateway, the relay and the device simulator share: the framer,
+whose ``check_line`` and ``parse_head`` take every request and reply head on
+both gateway legs; ``Connection``, the HTTP/1.1 server connection, which the
+gateway serves on its event loop and the simulator on a thread per
+connection; and ``LoopThread``, the thread an event loop runs on.
 """
 
 from __future__ import annotations
@@ -9,15 +10,17 @@ from __future__ import annotations
 import functools
 import logging
 import re
-import socket
-import socketserver
 import threading
 import time
 from contextlib import suppress
-from email.utils import formatdate
 from http import HTTPStatus
 
 log = logging.getLogger("wotgw.http11")
+
+# asyncio is imported where it is used. This package is compiled from source
+# when no bytecode is written, and compiling it after asyncio and ssl are
+# loaded leaves the gateway process about 1.5 MB larger, so wotgw.gateway
+# imports asyncio only after the package's own modules.
 
 # Largest request body read; a longer declared Content-Length gets 413.
 MAX_BODY_BYTES = 1024 * 1024
@@ -28,9 +31,13 @@ MAX_HEADERS = 100
 VERSION = re.compile(r"HTTP/(\d)\.(\d)")
 # Spaces and control bytes never belong to a request target.
 _BAD_TARGET = re.compile(r"[\x00-\x20\x7f]")
-_BLANK = (b"\r\n", b"\n")
+BLANK = (b"\r\n", b"\n")
 JSON_TYPE = ("Content-Type", "application/json")
+INTERNAL = 500, [JSON_TYPE], b'{"error":"internal"}'
+CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 _STATUS_LINES = {int(s): b"HTTP/1.1 %d %s\r\n" % (s, s.phrase.encode()) for s in HTTPStatus}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
 class FramingError(ValueError):
@@ -51,24 +58,25 @@ class Headers(dict):
         return dict.get(self, name.lower(), default)
 
 
-def read_fields(readline) -> Headers:
-    """Read header fields up to the blank line that ends them (RFC 9112 section 5).
+def check_line(length: int, index: int) -> None:
+    """Refuse line ``index`` of a head (0 is the start line) when it is, or
+    already as far as received, longer than MAX_LINE, or when it is one
+    line past MAX_HEADERS fields."""
+    if length > MAX_LINE:
+        raise FramingError(431 if index else 414, "line_too_long")
+    if index > MAX_HEADERS:
+        raise FramingError(431, "too_many_headers")
 
-    ``readline(limit)`` returns the next line, at most ``limit`` bytes of it,
-    as ``io.BufferedReader.readline`` does. Raises EOFError when the peer
-    closes first and FramingError for an over-long line, more than
-    MAX_HEADERS fields, obs-fold, whitespace before a colon, or two
+
+def parse_head(lines: list[bytes]) -> tuple[str, Headers]:
+    """A message head from its lines, each passed by check_line: the start
+    line and the header fields (RFC 9112 section 5).
+
+    Raises FramingError 400 for obs-fold, whitespace before a colon, or two
     different Content-Length values. Repeated fields are joined with ", ".
     """
     headers = Headers()
-    for _ in range(MAX_HEADERS + 1):
-        line = readline(MAX_LINE + 1)
-        if len(line) > MAX_LINE:
-            raise FramingError(431, "line_too_long")
-        if line in _BLANK:
-            return headers
-        if line[-1:] != b"\n":
-            raise EOFError("peer closed inside a head")
+    for line in lines[1:]:
         name, colon, value = line.decode("latin-1").partition(":")
         # a leading space or tab is obs-fold; one before the colon is also refused
         if not colon or not name or " " in name or "\t" in name:
@@ -82,25 +90,47 @@ def read_fields(readline) -> Headers:
                 continue
             value = f"{headers[name]}, {value}"
         headers[name] = value
-    raise FramingError(431, "too_many_headers")
+    return lines[0].rstrip(b"\r\n").decode("latin-1"), headers
 
 
-def read_head(readline) -> tuple[str, Headers] | None:
-    """Read one message head: its start line and its header fields.
+def check_request(start: str, headers: Headers, methods) -> tuple:
+    """Check a request head: (method, target, headers, body length,
+    keep-alive, whether to send 100 Continue).
 
-    Returns None when the peer closed before the start line. Blank lines
-    before it are skipped (RFC 9112 section 2.2). Raises like read_fields.
+    Raises FramingError 400, 411, 413, 501 or 505, all before any body byte
+    is read. HTTP/1.1 keeps the connection open unless the request says
+    ``Connection: close``; HTTP/1.0 closes after the reply.
     """
-    line = readline(MAX_LINE + 1)
-    while line in _BLANK:
-        line = readline(MAX_LINE + 1)
-    if not line:
-        return None
-    if len(line) > MAX_LINE:
-        raise FramingError(414, "line_too_long")
-    if line[-1:] != b"\n":
-        raise EOFError("peer closed inside a start line")
-    return line.rstrip(b"\r\n").decode("latin-1"), read_fields(readline)
+    parts = start.split(" ")
+    version = VERSION.fullmatch(parts[-1])
+    if len(parts) != 3 or version is None or _BAD_TARGET.search(parts[1]):
+        raise FramingError(400, "bad_request")
+    method, target, _ = parts
+    if version[1] >= "2":
+        raise FramingError(505, "http_version_not_supported")
+    if method not in methods:
+        raise FramingError(501, "not_implemented")
+    if "transfer-encoding" in headers:
+        raise FramingError(411, "length_required")
+    length = body_length(headers.get("content-length"))
+    http11 = (version[1], version[2]) >= ("1", "1")
+    connection = headers.get("connection")
+    keep = http11 and not (connection and "close" in tokens(connection))
+    expect = bool(length) and http11 and headers.get("expect", "").lower() == "100-continue"
+    if target.startswith("//"):
+        # a path starting with // reads as a network-path reference to
+        # another host; collapse it against open redirects (CPython gh-87389)
+        target = "/" + target.lstrip("/")
+    return method, target, headers, length, keep, expect
+
+
+def valid_path(path) -> bool:
+    """True for a path that can stand as the target of a request line."""
+    try:
+        path.encode("latin-1")
+    except (AttributeError, UnicodeEncodeError):
+        return False
+    return path.startswith("/") and not _BAD_TARGET.search(path)
 
 
 def tokens(value: str) -> list[str]:
@@ -121,172 +151,216 @@ def body_length(value: str | None) -> int:
     return int(digits or 0)
 
 
-class Listener(socketserver.ThreadingTCPServer):
-    """A TCP listener serving each accepted connection on a daemon thread.
-
-    A v6 listener is v6-only, so a v4 and a v6 listener can share a port
-    number. Accepted connections have Nagle's algorithm off.
-    ``handler(request, client_address, server)`` serves one connection, as a
-    ``socketserver`` request handler class does.
-    """
-
-    daemon_threads = True
-    allow_reuse_address = True
-    # socketserver's default backlog of 5 drops the SYNs of a burst of new
-    # clients, which then retry a second later
-    request_queue_size = 128
-    server_version = "wotgw/0.1"
-
-    def __init__(self, bind: tuple[str, int], family: int, handler):
-        self.address_family = family
-        self._open: set[socket.socket] = set()
-        self._open_lock = threading.Condition()
-        self._thread: threading.Thread | None = None
-        super().__init__(bind, handler)
-
-    def server_bind(self):
-        if self.address_family == socket.AF_INET6:
-            self.socket.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY, 1)
-        super().server_bind()
-
-    def start(self, name: str) -> None:
-        """Accept connections on a daemon thread called ``name``."""
-        self._thread = threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": 0.05}, name=name, daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Close the listener, shut down every accepted connection, idle
-        keep-alive ones included, and wait up to 5 s for their handler
-        threads to finish."""
-        if self._thread is not None:
-            with suppress(OSError):  # wakes serve_forever from its poll
-                self.socket.shutdown(socket.SHUT_RDWR)
-            self.shutdown()
-            self._thread.join(5)
-        self.server_close()
-        with self._open_lock:
-            conns = list(self._open)
-        for conn in conns:
-            with suppress(OSError):
-                conn.shutdown(socket.SHUT_RDWR)
-        with self._open_lock:
-            self._open_lock.wait_for(lambda: not self._open, 5)
-
-    def process_request(self, request, client_address):
-        request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with self._open_lock:
-            self._open.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request):
-        super().shutdown_request(request)
-        with self._open_lock:
-            self._open.discard(request)
-            self._open_lock.notify_all()
-
-    def stamp(self) -> bytes:
-        """The Server and Date header lines."""
-        return b"Server: %s\r\n%s" % (self.server_version.encode(), _date_line(int(time.time())))
+def http_date(second: int) -> str:
+    """The IMF-fixdate of a Unix time (RFC 9110 section 5.6.7), spelled in
+    English whatever the locale."""
+    t = time.gmtime(second)
+    return "%s, %02d %s %04d %02d:%02d:%02d GMT" % (
+        _DAYS[t.tm_wday], t.tm_mday, _MONTHS[t.tm_mon - 1], t.tm_year, t.tm_hour, t.tm_min, t.tm_sec
+    )
 
 
 @functools.lru_cache(maxsize=1)
 def _date_line(second: int) -> bytes:
-    """The Date header line; every listener shares one formatting a second."""
-    return b"Date: %s\r\n" % formatdate(second, usegmt=True).encode()
+    """The Date header line; every server shares one formatting a second."""
+    return b"Date: %s\r\n" % http_date(second).encode()
 
 
-class Handler(socketserver.StreamRequestHandler):
-    """One HTTP/1.1 connection: requests answered in order until one closes it.
+def render(status: int, headers, payload: bytes, keep: bool, server: str) -> bytes:
+    """One response, with Server, Date and Content-Length, as one string."""
+    fields = "".join(f"{name}: {value}\r\n" for name, value in headers)
+    return b"".join((
+        _STATUS_LINES.get(status) or b"HTTP/1.1 %d \r\n" % status,
+        b"Server: %s\r\n" % server.encode(),
+        _date_line(int(time.time())),
+        fields.encode("latin-1"),
+        b"Content-Length: %d\r\n" % len(payload),
+        b"\r\n" if keep else b"Connection: close\r\n\r\n",
+        payload,
+    ))
 
-    HTTP/1.1 keeps the connection open unless the request says
-    ``Connection: close``; HTTP/1.0 closes after the reply. Bytes of a
-    pipelined next request stay in ``rfile``'s buffer. A request with a
-    method outside ``methods`` gets 501.
+
+class Connection:
+    """One HTTP/1.1 connection, an asyncio protocol: requests answered in
+    order until one closes it.
+
+    ``respond`` returns the reply as (status, [(name, value)], body), an
+    awaitable of it, or None after closing the connection itself. While a
+    reply is awaited, and while the peer does not read its replies, the
+    connection reads nothing more, so pipelined requests are answered in
+    order. A ``respond`` that raised is logged and answered 500.
     """
 
     methods: frozenset[str]
+    server_version = "wotgw/0.1"
+    pending = None  # the task of the awaited reply
+
+    def __init__(self):
+        self.data = bytearray()  # received and not yet taken
+        self.lines: list[bytes] = []  # the lines of a head still arriving
+        self.head = None  # a checked head whose body is still arriving
+        self.waiting = False  # an awaited reply is outstanding
+        self.writable = True
+        self.eof = False
 
     def respond(self, method: str, path: str, headers: Headers, body: bytes):
-        """The answer to one request as (status, [(name, value)], body), or
-        None to close the connection without an answer."""
         raise NotImplementedError
 
-    def handle(self):
-        while self._serve_one():
-            pass
+    def connection_made(self, transport):
+        self.transport = transport
 
-    def _serve_one(self) -> bool:
-        """Read and answer one request; False when the connection is done."""
-        try:
-            request = self._read_request()
-        except FramingError as exc:
-            # the message's end is unknown, so the rest of the stream is unusable
-            self._send(exc.status, [JSON_TYPE], b'{"error":"%s"}' % str(exc).encode(), keep=False)
-            return False
-        except (OSError, EOFError):  # the client reset or left mid-request
-            return False
-        if request is None:
-            return False
-        method, path, headers, body, keep = request
-        try:
-            reply = self.respond(method, path, headers, body)
-        except Exception:
-            log.exception("handler failure for %s %s", method, path)
-            reply = 500, [JSON_TYPE], b'{"error":"internal"}'
-        if reply is None:
-            return False
-        status, out, payload = reply
-        log.debug('%s "%s %s" %d %d', self.client_address[0], method, path, status, len(payload))
-        return self._send(status, out, payload, keep) and keep
+    def connection_lost(self, exc):
+        pass
 
-    def _read_request(self):
-        """The next request as (method, path, headers, body, keep_alive), or
-        None at EOF. Raises FramingError before reading a body it refuses."""
-        head = read_head(self.rfile.readline)
-        if head is None:
+    def data_received(self, data):
+        self.data += data
+        self._serve()
+
+    def eof_received(self):
+        self.eof = True
+        self._serve()
+        return True  # the answers still owed are written before closing
+
+    def pause_writing(self):
+        self.writable = False
+        self._serve()
+
+    def resume_writing(self):
+        self.writable = True
+        self._serve()
+
+    def close(self) -> None:
+        """Close once the written bytes are sent; the peer reads EOF."""
+        with suppress(OSError):
+            self.transport.write_eof()
+        self.transport.close()
+
+    def _serve(self) -> None:
+        while not self.waiting and self.writable and not self.transport.is_closing():
+            try:
+                request = self._next_request()
+            except FramingError as exc:
+                # the message's end is unknown, so the rest of the stream is unusable
+                self._send(exc.status, [JSON_TYPE], b'{"error":"%s"}' % str(exc).encode(), False)
+                break
+            if request is None:
+                if self.eof:
+                    self.close()
+                break
+            method, path, headers, body, keep = request
+            try:
+                reply = self.respond(method, path, headers, body)
+            except Exception:
+                log.exception("handler failure for %s %s", method, path)
+                reply = INTERNAL
+            if isinstance(reply, tuple):
+                self._send(*reply, keep)
+            elif reply is not None:
+                import asyncio
+
+                self.waiting = True
+                self.pending = asyncio.ensure_future(reply)
+                self.pending.add_done_callback(functools.partial(self._answered, method, path, keep))
+        if self.waiting or not self.writable:
+            self.transport.pause_reading()
+        else:
+            self.transport.resume_reading()
+
+    def _next_request(self):
+        """The next whole request as (method, path, headers, body, keep), or None."""
+        if self.head is None:
+            if not self._take_head():
+                return None
+            self.head = check_request(*parse_head(self.lines), self.methods)
+            self.lines = []
+            if self.head[5]:
+                self.transport.write(CONTINUE)
+        method, target, headers, length, keep, _ = self.head
+        data = self.data
+        if len(data) < length:
             return None
-        start, headers = head
-        parts = start.split(" ")
-        version = VERSION.fullmatch(parts[-1])
-        if len(parts) != 3 or version is None or _BAD_TARGET.search(parts[1]):
-            raise FramingError(400, "bad_request")
-        method, target, _ = parts
-        if version[1] >= "2":
-            raise FramingError(505, "http_version_not_supported")
-        if method not in self.methods:
-            raise FramingError(501, "not_implemented")
-        if "transfer-encoding" in headers:
-            raise FramingError(411, "length_required")
-        length = body_length(headers.get("content-length"))
-        http11 = (version[1], version[2]) >= ("1", "1")
-        connection = headers.get("connection")
-        keep = http11 and not (connection and "close" in tokens(connection))
-        if length and http11 and headers.get("expect", "").lower() == "100-continue":
-            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-        body = self.rfile.read(length) if length else b""
-        if len(body) < length:
-            raise EOFError("client closed inside the body")
-        if target.startswith("//"):
-            # a path starting with // reads as a network-path reference to
-            # another host; collapse it against open redirects (CPython gh-87389)
-            target = "/" + target.lstrip("/")
+        body = bytes(data[:length])
+        del data[:length]
+        self.head = None
         return method, target, headers, body, keep
 
-    def _send(self, status: int, headers, payload: bytes, keep: bool) -> bool:
-        """Send one response with a single write; False when the client is gone."""
-        fields = "".join(f"{name}: {value}\r\n" for name, value in headers)
-        reply = b"".join((
-            _STATUS_LINES.get(status) or b"HTTP/1.1 %d \r\n" % status,
-            self.server.stamp(),
-            fields.encode("latin-1"),
-            b"Content-Length: %d\r\n" % len(payload),
-            b"\r\n" if keep else b"Connection: close\r\n\r\n",
-            payload,
-        ))
+    def _take_head(self) -> bool:
+        """Move the received lines of a head to ``lines``; True once its
+        blank line is in. Blank lines before a request line are skipped
+        (RFC 9112 section 2.2)."""
+        data, lines, pos = self.data, self.lines, 0
         try:
-            self.request.sendall(reply)
-        except OSError:
-            return False
-        return True
+            while True:
+                end = data.find(b"\n", pos) + 1
+                if not end:
+                    check_line(len(data) - pos, len(lines))
+                    return False
+                line, pos = bytes(data[pos:end]), end
+                if line not in BLANK:
+                    check_line(len(line), len(lines))
+                    lines.append(line)
+                elif lines:
+                    return True
+        finally:
+            del data[:pos]
+
+    def _answered(self, method, path, keep, task) -> None:
+        self.waiting = False
+        if task.cancelled():
+            return self.close()
+        try:
+            reply = task.result()
+        except Exception:
+            log.exception("handler failure for %s %s", method, path)
+            reply = INTERNAL
+        if not self.transport.is_closing():
+            self._send(*reply, keep)
+            self._serve()
+
+    def _send(self, status: int, headers, payload: bytes, keep: bool) -> None:
+        self.transport.write(render(status, headers, payload, keep, self.server_version))
+        if not keep:
+            self.close()
+
+
+def _loop_error(loop, context) -> None:
+    """Log what escaped a callback or task on the loop, as a handler failure."""
+    log.error("event loop error: %s", context.get("message"), exc_info=context.get("exception"))
+
+
+class LoopThread:
+    """An event loop running on a daemon thread of its own."""
+
+    def __init__(self, name: str):
+        import asyncio
+
+        self.loop = asyncio.new_event_loop()
+        self.loop.set_exception_handler(_loop_error)
+        self.thread = threading.Thread(target=self.loop.run_forever, name=name, daemon=True)
+        self.thread.start()
+
+    def run(self, coro):
+        """Run ``coro`` on the loop from another thread and return its result."""
+        if threading.get_ident() == self.thread.ident:
+            coro.close()
+            raise RuntimeError("a blocking call on the event loop's own thread")
+        import asyncio
+
+        return asyncio.run_coroutine_threadsafe(coro, self.loop).result()
+
+    def stop(self) -> None:
+        """Cancel the loop's tasks and wait for them and its executor, then
+        stop the loop and close it."""
+        self.run(self._drain())
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(5)
+        self.loop.close()
+
+    async def _drain(self) -> None:
+        import asyncio
+
+        tasks = asyncio.all_tasks() - {asyncio.current_task()}
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        await self.loop.shutdown_default_executor()

@@ -4,7 +4,8 @@ Implements the minimal SOCKS5 subset the gateway needs: no-authentication
 CONNECT with IPv4, DOMAIN, and IPv6 address types. A CONNECT accepted on
 one address family may be satisfied by an outbound connection on the other;
 the two terminated connections are spliced byte-for-byte in both directions
-with half-close propagation.
+with half-close propagation. Sessions run on an event loop, two transports
+writing to each other, with no thread of their own.
 
 BIND and UDP ASSOCIATE are rejected with the proper reply code.
 """
@@ -17,11 +18,16 @@ import logging
 import socket
 import struct
 import threading
+import time
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from wotgw.http11 import Listener
+from wotgw import FAMILY_V4, FAMILY_V6
+from wotgw.http11 import LoopThread
+
+if TYPE_CHECKING:  # imported where it is used; see wotgw.http11
+    import asyncio
 
 log = logging.getLogger("wotgw.socks")
 
@@ -37,6 +43,8 @@ ATYP_IPV6 = 0x04
 
 METHOD_NO_AUTH = 0x00
 METHOD_NO_ACCEPTABLE = 0xFF
+# A client greeting that offers no authentication only.
+GREETING = bytes((SOCKS_VERSION, 1, METHOD_NO_AUTH))
 
 REP_SUCCESS = 0x00
 REP_GENERAL_FAILURE = 0x01
@@ -47,12 +55,9 @@ REP_TTL_EXPIRED = 0x06
 REP_COMMAND_NOT_SUPPORTED = 0x07
 REP_ADDRESS_TYPE_NOT_SUPPORTED = 0x08
 
-FAMILY_V4 = "v4"
-FAMILY_V6 = "v6"
 
 _AF = {FAMILY_V4: socket.AF_INET, FAMILY_V6: socket.AF_INET6}
 
-DEFAULT_BUFFER_SIZE = 16 * 1024
 DEFAULT_IDLE_TIMEOUT = 300.0
 DEFAULT_CONNECT_TIMEOUT = 10.0
 
@@ -98,20 +103,28 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return buf
 
 
-def _recv_message(sock: socket.socket) -> bytes:
-    """One SOCKS5 request or reply: its four head bytes, address and port."""
-    head = _recv_exact(sock, 4)
-    atyp = head[3]
+def message_length(data: bytes) -> int | None:
+    """The length of the SOCKS5 request or reply that ``data`` starts with,
+    or None until the bytes that tell it are in."""
+    if len(data) < 4:
+        return None
+    atyp = data[3]
     if atyp == ATYP_IPV4:
-        rest = _recv_exact(sock, 6)
-    elif atyp == ATYP_IPV6:
-        rest = _recv_exact(sock, 18)
-    elif atyp == ATYP_DOMAIN:
-        length = _recv_exact(sock, 1)
-        rest = length + _recv_exact(sock, length[0] + 2)
-    else:
-        raise SocksError(f"address type {atyp} not supported", REP_ADDRESS_TYPE_NOT_SUPPORTED)
-    return head + rest
+        return 10
+    if atyp == ATYP_IPV6:
+        return 22
+    if atyp == ATYP_DOMAIN:
+        return 7 + data[4] if len(data) > 4 else None
+    raise SocksError(f"address type {atyp} not supported", REP_ADDRESS_TYPE_NOT_SUPPORTED)
+
+
+def check_reply(reply: bytes) -> bytes:
+    """A relay's reply to CONNECT; raises SocksReplyError for a failure reply."""
+    if reply[0] != SOCKS_VERSION:
+        raise SocksError("bad reply version")
+    if reply[1] != REP_SUCCESS:
+        raise SocksReplyError(f"relay reply code {reply[1]}", reply[1])
+    return reply
 
 
 def negotiate(greeting: bytes) -> bytes:
@@ -273,6 +286,16 @@ def resolve_target(request: SocksConnectRequest, policy: ResolverPolicy) -> list
     return policy.order(candidates)
 
 
+async def resolve(request: SocksConnectRequest, policy: ResolverPolicy) -> list[Candidate]:
+    """``resolve_target`` without blocking the running loop: a name for the
+    system resolver is looked up on the loop's executor."""
+    import asyncio
+
+    if request.address_type == "domain" and policy.static_table is None:
+        return await asyncio.get_running_loop().run_in_executor(None, resolve_target, request, policy)
+    return resolve_target(request, policy)
+
+
 # --- sessions and the relay server ---------------------------------------------
 
 
@@ -313,11 +336,133 @@ class RelayStats:
             }
 
 
+class _Pipe:
+    """One connection of a relay session, an asyncio protocol; the client's
+    owns the session.
+
+    The client's pipe reads the SOCKS5 negotiation into its buffer. Once the
+    session relays, what a pipe reads its peer writes, a pipe reads nothing
+    while its peer's write buffer is full, and its EOF half-closes the peer.
+    A session ends after ``idle_timeout`` seconds without a byte relayed.
+    """
+
+    peer: "_Pipe | None" = None
+    task: asyncio.Task | None = None
+
+    def __init__(self, relay: "SocksRelayServer", family: str, client: "_Pipe | None" = None):
+        self.relay, self.family = relay, family
+        self.client = client or self
+        self.data = bytearray()  # the negotiation's bytes not yet taken
+        self.eof = self.greeted = self.ended = False
+        self.last = time.monotonic()
+
+    def connection_made(self, transport):
+        self.transport = transport
+        if self.client is not self:
+            return transport.pause_reading()  # until the splice starts
+        self.session = RelaySession(transport.get_extra_info("peername"), self.family)
+        self.relay._clients.add(self)
+        self.timer = self.relay.loop.call_later(self.relay.idle_timeout, self._check_idle)
+
+    def data_received(self, data):
+        client = self.client
+        if self.peer is None:
+            self.data += data
+            try:
+                self._negotiate()
+            except SocksError as exc:
+                self.refuse(exc)
+            return
+        client.last = time.monotonic()
+        if self is client:
+            client.session.bytes_up += len(data)
+        else:
+            client.session.bytes_down += len(data)
+        self.peer.transport.write(data)
+
+    def eof_received(self):
+        self.eof = True
+        if self.peer is None or self.peer.eof:
+            self.client.end()
+        else:
+            with suppress(OSError):
+                self.peer.transport.write_eof()
+        return True
+
+    def connection_lost(self, exc):
+        self.client.session.error |= exc is not None
+        self.client.end()
+
+    def pause_writing(self):
+        self.peer.transport.pause_reading()
+
+    def resume_writing(self):
+        self.peer.transport.resume_reading()
+
+    def _negotiate(self) -> None:
+        data = self.data
+        if not self.greeted:
+            if len(data) < 2 or len(data) < 2 + data[1]:
+                return
+            reply = negotiate(bytes(data[: 2 + data[1]]))
+            del data[: 2 + data[1]]
+            self.transport.write(reply)
+            if reply[1] == METHOD_NO_ACCEPTABLE:
+                return self.end()
+            self.greeted = True
+        length = message_length(data)
+        if length is not None and len(data) >= length:
+            request = parse_connect(bytes(data[:length]))
+            del data[:length]
+            self.session.advance(STATE_CONNECTING)
+            self.transport.pause_reading()
+            self.task = self.relay.loop.create_task(self._connect(request))
+
+    async def _connect(self, request: SocksConnectRequest) -> None:
+        try:
+            candidates = await resolve(request, self.relay.resolver)
+            await self.relay.establish_and_pump(self, candidates, self.session)
+        except SocksError as exc:
+            self.refuse(exc)
+
+    def refuse(self, exc: SocksError) -> None:
+        """Send the failure reply the error carries, if any, and end."""
+        if exc.reply_code is not None:
+            self.transport.write(encode_reply(exc.reply_code))
+        log.debug("session from %s failed: %s", self.session.client_address, exc)
+        self.end()
+
+    def _check_idle(self) -> None:
+        idle = time.monotonic() - self.last
+        if idle >= self.relay.idle_timeout:
+            return self.end()
+        self.timer = self.relay.loop.call_later(self.relay.idle_timeout - idle, self._check_idle)
+
+    def end(self) -> None:
+        """Close both connections of the session, once, and count it."""
+        if self.ended:
+            return
+        self.ended = True
+        self.timer.cancel()
+        self.relay._clients.discard(self)
+        for pipe in (self, self.peer):
+            if pipe is not None:
+                pipe.transport.close()
+        session, stats = self.session, self.relay.stats
+        if session.state == STATE_RELAYING:
+            with stats.lock:
+                stats.active_sessions -= 1
+                stats.bytes_up += session.bytes_up
+                stats.bytes_down += session.bytes_down
+        session.state = STATE_CLOSED
+
+
 class SocksRelayServer:
     """SOCKS5 listener(s) splicing accepted connections to resolved targets.
 
-    Many sessions run concurrently; within a session the two pump directions
-    progress independently on separate threads.
+    Every session runs on one event loop: the gateway's when the relay is
+    embedded in it (``open`` and ``close``), or after ``start`` a loop thread
+    of the relay's own.
     """
 
     def __init__(
@@ -325,163 +470,112 @@ class SocksRelayServer:
         listen_v4: tuple[str, int] | None = ("127.0.0.1", 1080),
         listen_v6: tuple[str, int] | None = ("::1", 1080),
         resolver: ResolverPolicy | None = None,
-        buffer_size: int = DEFAULT_BUFFER_SIZE,
         idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
     ):
         self.resolver = resolver or ResolverPolicy()
-        self.buffer_size = buffer_size
         self.idle_timeout = idle_timeout
         self.connect_timeout = connect_timeout
         self._listen_spec = {FAMILY_V4: listen_v4, FAMILY_V6: listen_v6}
-        self._servers: dict[str, Listener] = {}
+        self._servers: dict[str, asyncio.Server] = {}
+        self._clients: set[_Pipe] = set()
+        self._thread: LoopThread | None = None
         self.stats = RelayStats()
 
-    # -- lifecycle --
-
     def start(self) -> None:
-        if not any(self._listen_spec.values()):
-            raise ValueError("relay needs at least one listener")
-        for family, spec in self._listen_spec.items():
-            if spec is None:
-                continue
-            server = self._servers[family] = Listener(
-                spec, _AF[family], lambda conn, addr, _server: self._handle_connection(conn, addr)
-            )
-            server.start(f"socks-{family}")
-            log.info("socks listening family=%s addr=%s", family, server.server_address[:2])
+        """Listen on a loop thread of the relay's own."""
+        self._thread = LoopThread("socks-relay")
+        try:
+            self._thread.run(self.open())
+        except BaseException:
+            self.stop()
+            raise
 
     def stop(self) -> None:
-        """Close the listeners and every client connection, so live sessions end."""
+        """Close the listeners and every session, so peers read EOF."""
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            thread.run(self.close())
+            thread.stop()
+
+    async def open(self) -> None:
+        """Listen on the running loop."""
+        import asyncio
+
+        if not any(self._listen_spec.values()):
+            raise ValueError("relay needs at least one listener")
+        self.loop = asyncio.get_running_loop()
+        for family, spec in self._listen_spec.items():
+            if spec is not None:
+                self._servers[family] = await self.loop.create_server(
+                    lambda family=family: _Pipe(self, family), *spec, family=_AF[family], backlog=128
+                )
+                log.info("socks listening family=%s addr=%s", family, self.listen_address(family))
+
+    async def close(self) -> None:
+        """Close the listeners and end every session."""
+        import asyncio
+
         for server in self._servers.values():
-            server.stop()
+            server.close()
         self._servers.clear()
+        for client in list(self._clients):
+            if client.task is not None:
+                client.task.cancel()
+            client.end()
+        await asyncio.sleep(0)  # lets the closed transports call connection_lost
 
     def listen_address(self, family: str) -> tuple[str, int] | None:
         server = self._servers.get(family)
-        return server.server_address[:2] if server else None
+        return server.sockets[0].getsockname()[:2] if server else None
 
-    # -- connection handling --
+    async def establish_and_pump(self, client: _Pipe, candidates: list[Candidate], session: RelaySession):
+        """Connect to the first reachable candidate, reply, and start the splice.
 
-    def _handle_connection(self, conn: socket.socket, addr: tuple) -> None:
-        client_family = FAMILY_V4 if conn.family == socket.AF_INET else FAMILY_V6
-        session = RelaySession(client_address=addr, client_family=client_family)
-        try:
-            conn.settimeout(self.idle_timeout)
-            head = _recv_exact(conn, 2)
-            methods = _recv_exact(conn, head[1])
-            reply = negotiate(head + methods)
-            conn.sendall(reply)
-            if reply[1] == METHOD_NO_ACCEPTABLE:
-                return
-            request = parse_connect(_recv_message(conn))
-            session.advance(STATE_CONNECTING)
-            candidates = resolve_target(request, self.resolver)
-            self.establish_and_pump(conn, candidates, session)
-        except SocksError as exc:
-            if exc.reply_code is not None:
-                with suppress(OSError):
-                    conn.sendall(encode_reply(exc.reply_code))
-            log.debug("session from %s failed: %s", addr, exc)
-        except OSError as exc:
-            log.debug("session from %s I/O error: %s", addr, exc)
-        finally:
-            session.state = STATE_CLOSED
-
-    def establish_and_pump(
-        self,
-        client: socket.socket,
-        candidates: list[Candidate],
-        session: RelaySession,
-    ) -> RelaySession:
-        """Connect to the first reachable candidate, reply, and splice until EOF.
-
-        On success both streams are pumped concurrently until each direction
-        reaches end-of-stream (half-close propagated) or either side errors;
-        both sockets are closed on return. On failure the RFC failure reply
-        is sent and the session is closed with zero byte counts.
+        The two connections then relay until each direction reaches
+        end-of-stream (half-close propagated) or either side fails, and close
+        together. On failure a SocksError carries the RFC failure reply and
+        the session is closed with zero byte counts.
         """
+        import asyncio
+
         if not candidates:
             raise SocksError("no candidates", REP_HOST_UNREACHABLE)
-
-        target = None
         last_code = REP_HOST_UNREACHABLE
         for cand in candidates:
-            sock = socket.socket(_AF[cand.family], socket.SOCK_STREAM)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self.connect_timeout)
             try:
-                sock.connect((cand.address, cand.port))
+                connecting = self.loop.create_connection(
+                    lambda: _Pipe(self, cand.family, client), cand.address, cand.port
+                )
+                transport, target = await asyncio.wait_for(connecting, self.connect_timeout)
+                break
             except ConnectionRefusedError:
                 last_code = REP_CONNECTION_REFUSED
-                sock.close()
-            except (socket.timeout, TimeoutError):
+            except asyncio.TimeoutError:  # not an OSError before Python 3.11
                 last_code = REP_HOST_UNREACHABLE
-                sock.close()
             except OSError as exc:
-                last_code = (
-                    REP_NETWORK_UNREACHABLE
-                    if exc.errno in (errno.ENETUNREACH, errno.EHOSTUNREACH)
-                    else REP_GENERAL_FAILURE
-                )
-                sock.close()
-            else:
-                target = sock
-                session.target_family = cand.family
-                break
-        if target is None:
+                unreachable = exc.errno in (errno.ENETUNREACH, errno.EHOSTUNREACH)
+                last_code = REP_NETWORK_UNREACHABLE if unreachable else REP_GENERAL_FAILURE
+        else:
             with self.stats.lock:
                 self.stats.sessions_failed += 1
             session.state = STATE_CLOSED
             raise SocksError("all candidates unreachable", last_code)
-
-        client.sendall(encode_reply(REP_SUCCESS, target.getsockname()[:2]))
+        if client.ended:  # the client left while the target was dialled
+            transport.close()
+            return session
+        session.target_family = cand.family
+        client.transport.write(encode_reply(REP_SUCCESS, transport.get_extra_info("sockname")[:2]))
         session.advance(STATE_RELAYING)
         with self.stats.lock:
             self.stats.sessions_total += 1
             self.stats.active_sessions += 1
-
-        client.settimeout(self.idle_timeout)
-        target.settimeout(self.idle_timeout)
-        try:
-            down = threading.Thread(
-                target=self._pump, args=(target, client, session, "down"), daemon=True
-            )
-            down.start()
-            self._pump(client, target, session, "up")
-            down.join()
-        finally:
-            for sock in (client, target):
-                with suppress(OSError):
-                    sock.close()
-            session.state = STATE_CLOSED
-            with self.stats.lock:
-                self.stats.active_sessions -= 1
-                self.stats.bytes_up += session.bytes_up
-                self.stats.bytes_down += session.bytes_down
+        client.peer, target.peer = target, client
+        if client.data:  # bytes the client sent behind its CONNECT request
+            client.data_received(bytes(client.data))
+        client.transport.resume_reading()
+        transport.resume_reading()
         return session
-
-    def _pump(self, src: socket.socket, dst: socket.socket, session: RelaySession, direction: str) -> None:
-        """Copy one direction until EOF, then propagate half-close to the peer."""
-        try:
-            while True:
-                data = src.recv(self.buffer_size)
-                if not data:
-                    break
-                dst.sendall(data)
-                if direction == "up":
-                    session.bytes_up += len(data)
-                else:
-                    session.bytes_down += len(data)
-        except OSError:
-            session.error = True
-            # hard-close both ends so the opposite direction unblocks
-            for sock in (src, dst):
-                with suppress(OSError):
-                    sock.close()
-            return
-        with suppress(OSError):
-            dst.shutdown(socket.SHUT_WR)
 
 
 def socks_connect(
@@ -498,17 +592,25 @@ def socks_connect(
     sock = socket.create_connection(relay_addr, timeout=timeout)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     try:
-        sock.sendall(bytes((SOCKS_VERSION, 1, METHOD_NO_AUTH)))
+        sock.sendall(GREETING)
         resp = _recv_exact(sock, 2)
         if resp[0] != SOCKS_VERSION or resp[1] != METHOD_NO_AUTH:
             raise SocksError("relay refused the no-auth method")
         sock.sendall(build_connect_request(target_host, target_port))
-        reply = _recv_message(sock)
-        if reply[0] != SOCKS_VERSION:
-            raise SocksError("bad reply version")
-        if reply[1] != REP_SUCCESS:
-            raise SocksReplyError(f"relay reply code {reply[1]}", reply[1])
+        reply = _recv_exact(sock, 5)
+        check_reply(reply + _recv_exact(sock, message_length(reply) - len(reply)))
         return sock
     except BaseException:
         sock.close()
         raise
+
+
+async def read_tunnel_reply(reader: asyncio.StreamReader) -> bytes:
+    """Read a relay's answers to GREETING and to the CONNECT request sent
+    right behind it; returns the CONNECT reply. Raises SocksError for a
+    refusal and EOFError when the relay closes first."""
+    hello = await reader.readexactly(7)  # the method choice and the reply's first bytes
+    if hello[:2] != bytes((SOCKS_VERSION, METHOD_NO_AUTH)):
+        raise SocksError("relay refused the no-auth method")
+    reply = hello[2:]
+    return check_reply(reply + await reader.readexactly(message_length(reply) - len(reply)))

@@ -1,19 +1,17 @@
 """Suite-wide checks.
 
-ROADMAP aim 3: malformed or hostile input never gets a traceback. A handler
-thread of the gateway, the relay or the device simulator that ends with an
-exception reaches ``Listener.handle_error``; a request whose answer raised
-is logged by ``http11.Handler`` and answered 500. Every test fails if either
-happened during it.
+ROADMAP aim 3: malformed or hostile input never gets a traceback. A request
+whose answer raised is logged by ``http11.Connection`` and answered 500; an
+exception that escapes a callback or task on the event loop of the gateway
+or the relay reaches the loop's exception handler, which logs it; a handler
+thread of the device simulator that ends with an exception is logged by its
+server. All of them log at ERROR under the ``wotgw`` logger, and every test
+fails if one did during it.
 """
 
 import logging
-import sys
-import traceback
 
 import pytest
-
-from wotgw import http11
 
 
 class _Recorder(logging.Handler):
@@ -26,18 +24,12 @@ class _Recorder(logging.Handler):
 
 
 @pytest.fixture(autouse=True)
-def no_escaped_handler_errors(monkeypatch):
+def no_escaped_handler_errors():
     escaped = []
-    original = http11.Listener.handle_error
-
-    def record(self, request, client_address):
-        escaped.append("".join(traceback.format_exception(*sys.exc_info())))
-        original(self, request, client_address)
-
-    monkeypatch.setattr(http11.Listener, "handle_error", record)
     recorder = _Recorder(escaped)
-    http11.log.addHandler(recorder)
+    logger = logging.getLogger("wotgw")
+    logger.addHandler(recorder)
     yield
-    http11.log.removeHandler(recorder)
+    logger.removeHandler(recorder)
     if escaped:
-        pytest.fail("a handler thread raised:\n" + "\n".join(escaped), pytrace=False)
+        pytest.fail("a handler raised:\n" + "\n".join(escaped), pytrace=False)

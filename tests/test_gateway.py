@@ -1,3 +1,4 @@
+import asyncio
 import contextlib
 import email.utils
 import http.client
@@ -12,8 +13,10 @@ import pytest
 
 from wotgw import codec
 from wotgw.cache import CacheEntry, CacheKey
-from wotgw.config import DeviceConfig, GatewayConfig, format_hostport
+from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, format_hostport, load_config
 from wotgw.device import DeviceSimulator
+from wotgw.http11 import http_date
+from wotgw.socks import socks_connect
 from wotgw.gateway import (
     DeviceRecord,
     DeviceRegistry,
@@ -22,8 +25,9 @@ from wotgw.gateway import (
     POOL_MAX_IDLE,
     Gateway,
     IdlePool,
-    _GatewayServer,
     _normalize_client_ip,
+    _read_reply,
+    _Upstream,
 )
 
 POWER_MAP = {
@@ -144,24 +148,25 @@ class TestRegistry:
             assert gw.cache.get(key, time.monotonic()) is None
 
 
-class _PairConn:
-    """Stands in for a pooled HTTPConnection: one end of a socket pair."""
+class _IdleConn:
+    """Stands in for a pooled device connection."""
 
     def __init__(self):
-        self.sock, self.peer = socket.socketpair()
         self.closed = False
+        self.unread = False  # stray bytes or EOF arrived while it was idle
+
+    def reusable(self):
+        return not (self.closed or self.unread)
 
     def close(self):
         self.closed = True
-        self.sock.close()
-        self.peer.close()
 
 
 class TestIdlePool:
     def test_lifo_and_cap(self):
         assert POOL_MAX_IDLE == 2
         pool = IdlePool()
-        conns = [_PairConn() for _ in range(3)]
+        conns = [_IdleConn() for _ in range(3)]
         assert [pool.give("leg", c, 0.0) for c in conns] == [True, True, False]
         assert conns[2].closed
         assert pool.take("leg", 1.0) == (conns[1], 0)
@@ -171,22 +176,36 @@ class TestIdlePool:
 
     def test_expired_and_unquiet_connections_are_discarded(self):
         pool = IdlePool()
-        old, chatty = _PairConn(), _PairConn()
+        old, chatty = _IdleConn(), _IdleConn()
         pool.give("leg", old, 0.0)
         pool.give("leg", chatty, 1.0)
-        chatty.peer.sendall(b"stray")
+        chatty.unread = True
         assert pool.take("leg", POOL_IDLE_SECONDS + 0.5) == (None, 2)
         assert old.closed and chatty.closed
 
+    @pytest.mark.parametrize("arrival", ["stray", "eof"])
+    def test_bytes_or_eof_while_idle_make_a_connection_unfit(self, arrival):
+        async def fitness():
+            reader = asyncio.StreamReader()
+            conn = _Upstream(reader, None)
+            before = conn.reusable()
+            if arrival == "stray":
+                reader.feed_data(b"stray")
+            else:
+                reader.feed_eof()
+            return before, conn.reusable()
+
+        assert asyncio.run(fitness()) == (True, False)
+
     def test_sweep_and_close(self):
         pool = IdlePool()
-        old, fresh = _PairConn(), _PairConn()
+        old, fresh = _IdleConn(), _IdleConn()
         pool.give("leg", old, 0.0)
         pool.give("leg", fresh, 1.0)
         assert pool.sweep(POOL_IDLE_SECONDS + 0.5) == 1
         assert old.closed and not fresh.closed
         assert pool.close() == 1
-        late = _PairConn()
+        late = _IdleConn()
         assert pool.give("leg", late, 2.0) is False  # handed back after close
         assert fresh.closed and late.closed
 
@@ -661,6 +680,14 @@ class TestHealthAndOutage:
             assert codec.parse_json(body) == {"status": "device_timeout", "device": "power"}
             assert headers["X-WoT-Device"] == "power"
 
+    def test_connect_timeout_maps_to_503(self):
+        with _unaccepting_listener() as addr:
+            device = DeviceConfig(device_id="slow", endpoint=format_hostport(*addr),
+                                  mapping_inline=dict(POWER_MAP))
+            with running(make_config([device], request_timeout_seconds=0.3)) as gw:
+                status, _, body = _request(gw.listen_address("v4"), "GET", "/devices/slow/status")
+        assert (status, codec.parse_json(body)) == (503, {"status": "device_unavailable", "device": "slow"})
+
     def test_reset_midstream_maps_to_503(self, sim_v4):
         sim_v4.inject_behavior(failure_rate=1.0)
         cfg = make_config([power_device(sim_v4)])
@@ -669,6 +696,18 @@ class TestHealthAndOutage:
             status, _, body = _request(addr, "GET", "/devices/power/status")
             assert status == 503
             assert codec.parse_json(body)["status"] == "device_unavailable"
+
+
+@contextlib.contextmanager
+def _unaccepting_listener():
+    """A v4 listener whose accept queue is full, so a connect to it waits
+    until its own timeout."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(0)
+    filler = socket.create_connection(listener.getsockname(), timeout=5.0)
+    with listener, filler:
+        yield listener.getsockname()
 
 
 class _AnswerOnceServer:
@@ -781,7 +820,7 @@ class TestDeviceLegPool:
             addr = gw.listen_address("v4")
 
             def pooled_sockets():
-                return [conn.sock for record in gw.registry.all()
+                return [conn.writer.get_extra_info("socket") for record in gw.registry.all()
                         for idle in record.pool._idle.values() for conn, _ in idle]
 
             def fill():
@@ -789,7 +828,9 @@ class TestDeviceLegPool:
                     assert _request(addr, "GET", f"/devices/{device}/status")[0] == 200
                 socks = pooled_sockets()
                 assert len(socks) == 2
-                assert threading.active_count() > baseline
+                # the simulators' handler threads, one per pooled connection;
+                # the gateway starts none
+                assert threading.active_count() == baseline + 2
                 return socks
 
             socks = fill()
@@ -1007,6 +1048,28 @@ class TestAdmin:
             status, _, _ = _request(addr, "PUT", "/admin/devices/x", b"not json")
             assert status == 400
 
+    @pytest.mark.parametrize("health_path", [
+        "/status HTTP/1.1\r\nHost: x\r\n\r\nDELETE /all",
+        "status",
+        "/st atus",
+        "/\u0100",
+        5,
+    ], ids=["smuggled-request", "relative", "space", "not-latin-1", "number"])
+    def test_health_path_that_is_no_request_target_is_refused(self, health_path):
+        device = socket.socket()
+        device.bind(("127.0.0.1", 0))
+        device.listen(1)
+        device.settimeout(0.3)
+        with device, running(make_config([])) as gw:
+            doc = {"endpoint": format_hostport(*device.getsockname()), "health_path": health_path}
+            status, _, body = _request(gw.listen_address("v4"), "PUT", "/admin/devices/evil",
+                                       json.dumps(doc).encode())
+            assert (status, codec.parse_json(body)["error"]) == (400, "bad_registration")
+            with pytest.raises(KeyError):
+                gw.probe_device("evil")
+            with pytest.raises(socket.timeout):
+                device.accept()  # nothing ever reached the device
+
     def test_unknown_admin_path(self, sim_v4):
         cfg = make_config([power_device(sim_v4)])
         with running(cfg) as gw:
@@ -1080,11 +1143,11 @@ class TestClientLeg:
     def test_server_and_date_headers(self, sim_v4, monkeypatch):
         formatted = []
 
-        def counting(*args, **kwargs):
-            formatted.append(args)
-            return email.utils.formatdate(*args, **kwargs)
+        def counting(second):
+            formatted.append(second)
+            return http_date(second)
 
-        monkeypatch.setattr("wotgw.http11.formatdate", counting)
+        monkeypatch.setattr("wotgw.http11.http_date", counting)
         with running(make_config([power_device(sim_v4)])) as gw:
             started = time.time()
             reply = _send_raw(gw.listen_address("v4"), (STATUS_GET + b"\r\n") * 5
@@ -1146,16 +1209,26 @@ class TestClientLeg:
         assert b"\r\nconnection: close" in head
         assert sim_v4.request_count == 0
 
+    def test_a_head_longer_than_one_line_cap_is_served_when_it_arrives_slowly(self, sim_v4):
+        fields = b"".join(b"X-%d: %s\r\n" % (i, b"a" * 30000) for i in range(4))
+        request = STATUS_GET + fields + b"Connection: close\r\n\r\n"
+        with running(make_config([power_device(sim_v4)])) as gw:
+            with socket.create_connection(gw.listen_address("v4"), timeout=5.0) as sock:
+                for i in range(0, len(request), 4096):
+                    sock.sendall(request[i : i + 4096])
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+        assert _replies(reply)[0][::2] == (200, OK_BODY)
+
     def test_a_head_of_100_fields_is_served(self, sim_v4):
         fields = b"".join(b"X-%d: v\r\n" % i for i in range(98))  # with Host and Connection
         with running(make_config([power_device(sim_v4)])) as gw:
             reply = _send_raw(gw.listen_address("v4"), STATUS_GET + fields + b"Connection: close\r\n\r\n")
         assert _replies(reply)[0][0] == 200
 
-    def test_client_reset_while_device_answers_escapes_no_error(self, sim_v4, monkeypatch):
-        escaped = []
-        monkeypatch.setattr(_GatewayServer, "handle_error",
-                            lambda self, request, address: escaped.append(sys.exc_info()[1]))
+    def test_client_reset_while_device_answers_escapes_no_error(self, sim_v4):
+        # an error escaping on the gateway's loop fails the test (conftest.py)
         sim_v4.inject_behavior(latency=0.3)
         with running(make_config([power_device(sim_v4)])) as gw:
             addr = gw.listen_address("v4")
@@ -1166,7 +1239,6 @@ class TestClientLeg:
             sock.close()  # a reset, while the device is still answering
             sim_v4.inject_behavior(latency=0.0)
             assert _request(addr, "GET", "/devices/power/status")[0] == 200
-        assert escaped == []  # stop() joined every handler thread
 
 
 class _ScriptedDevice:
@@ -1256,6 +1328,20 @@ class TestDeviceLegFraming:
             assert device.connections == 2 - pooled
             assert gw.stats()["pool"]["discarded"] == 0
 
+    def test_a_reply_arriving_a_byte_at_a_time_is_read(self):
+        payload = (b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                   b'6\r\n{"stat\r\n9;ext=1\r\nus":"ok"}\r\n0\r\nX-Trailer: t\r\n\r\n')
+
+        async def exchange():
+            reader = asyncio.StreamReader()
+            reply = asyncio.ensure_future(_read_reply(reader, "GET"))
+            for i in range(len(payload)):
+                await asyncio.sleep(0)
+                reader.feed_data(payload[i : i + 1])
+            return await reply, _Upstream(reader, None).reusable()
+
+        assert asyncio.run(exchange()) == ((200, "application/json", OK_BODY, True), True)
+
     def test_bytes_past_the_reply_discard_the_connection(self):
         payload = b"HTTP/1.1 200 OK\r\nContent-Length: 15\r\n\r\n" + OK_BODY + b"EXTRA"
         with _scripted_gateway(payload) as (gw, device):
@@ -1308,12 +1394,56 @@ class TestLifecycle:
                 gw.stop()
                 assert sock.recv(4096) == b""  # EOF, not a handler left serving
 
+    def test_stop_cancels_a_request_waiting_for_the_device(self, sim_v4):
+        sim_v4.inject_behavior(latency=2.0)
+        gw = Gateway(make_config([power_device(sim_v4)])).start()
+        try:
+            sock = socket.create_connection(gw.listen_address("v4"), timeout=5.0)
+            sock.sendall(STATUS_GET + b"\r\n")
+            assert _wait_for(lambda: sim_v4.request_count == 1)
+        finally:
+            started = time.monotonic()
+            gw.stop()
+        with sock:
+            assert time.monotonic() - started < 1.0  # the device's answer is not awaited
+            assert sock.recv(4096) == b""  # closed unanswered
+
     def test_wildcard_v4_and_v6_listeners_share_a_port(self, sim_v4):
         [port] = _free_ports("0.0.0.0", 1)
         cfg = make_config([power_device(sim_v4)], listen_v4=("0.0.0.0", port), listen_v6=("::", port))
         with running(cfg):
             for host in ("127.0.0.1", "::1"):
                 assert _request((host, port), "GET", "/devices/power/status")[::2] == (200, OK_BODY)
+
+    def test_bad_health_path_in_a_config_file_fails_start(self, tmp_path):
+        conf = tmp_path / "gateway.conf"
+        conf.write_text("gateway.listen_v4 = 127.0.0.1:0\n"
+                        "device.d.endpoint = 127.0.0.1:9\n"
+                        "device.d.health_path = status\n")
+        with pytest.raises(ConfigError, match="health_path"):
+            Gateway(load_config(conf)).start()
+
+    def test_threads_do_not_grow_with_connections_or_relay_sessions(self):
+        target = socket.socket()  # completes TCP handshakes from its backlog, never accepts
+        target.bind(("127.0.0.1", 0))
+        target.listen(32)
+        conns = []
+        try:
+            with running(make_config([])) as gw:
+                baseline = threading.active_count()
+                for _ in range(20):  # idle keep-alive client connections
+                    conns.append(socket.create_connection(gw.listen_address("v4"), timeout=5.0))
+                    conns[-1].sendall(b"GET /devices/ghost/status HTTP/1.1\r\nHost: gw\r\n\r\n")
+                    assert conns[-1].recv(4096).startswith(b"HTTP/1.1 404 ")
+                for _ in range(20):  # live relay sessions
+                    conns.append(socks_connect(gw.relay.listen_address("v6"),
+                                               *target.getsockname(), timeout=5.0))
+                assert _wait_for(lambda: gw.relay.stats.snapshot()["active_sessions"] == 20)
+                assert threading.active_count() == baseline
+        finally:
+            for conn in conns:
+                conn.close()
+            target.close()
 
     def test_failed_start_stops_what_it_started(self, sim_v4):
         baseline = threading.active_count()

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 from wotgw.guard import (
     REASON_RATE,
@@ -184,3 +185,17 @@ def test_allow_bound_property():
     for i, t in enumerate(allowed_times):
         in_window = [u for u in allowed_times[: i + 1] if u >= t - W]
         assert len(in_window) <= R
+
+
+def test_window_memory_is_bounded_for_50k_requests():
+    # a rate limit of 10**9, as the benchmark's GUARD_OFF sets, keeps every
+    # request of the window: 50k of them in 5 s
+    g = DosGuard(rate_limit=10**9, window_seconds=10.0, repeat_limit=10**9)
+    tracemalloc.start()
+    try:
+        for i in range(50_000):
+            assert g.record_and_check("c", "d", i * 1e-4).allowed
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 0.6 * 1024 * 1024

@@ -386,6 +386,22 @@ class TestLiveRelay:
         finally:
             server.stop()
 
+    def test_connect_timeout_reply(self):
+        target = socket.socket()  # its accept queue is full: a connect to it waits
+        target.bind(("127.0.0.1", 0))
+        target.listen(0)
+        filler = socket.create_connection(target.getsockname(), timeout=5.0)
+        server = SocksRelayServer(listen_v4=("127.0.0.1", 0), listen_v6=None, connect_timeout=0.3)
+        server.start()
+        try:
+            with pytest.raises(SocksReplyError) as err:
+                socks_connect(server.listen_address("v4"), *target.getsockname(), timeout=5.0)
+            assert err.value.reply_code == REP_HOST_UNREACHABLE
+        finally:
+            server.stop()
+            filler.close()
+            target.close()
+
     def test_static_table_name_resolution(self, echo_v4):
         host, port = echo_v4.address
         table = load_static_table(f"echo-device v4 {host}\n")
