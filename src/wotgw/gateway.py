@@ -738,8 +738,10 @@ class Gateway:
                 response = await self._forward_pipeline(*args)
                 return response
             finally:
-                del self._inflight[key]
                 flight.set_result(response)
+                # kept one more loop turn: a miss whose front half ran before
+                # this answer was cached, but whose task starts after, joins it
+                asyncio.get_running_loop().call_soon(self._inflight.pop, key, None)
         return await self._forward_pipeline(*args)
 
     async def _forward_pipeline(

@@ -510,6 +510,33 @@ class TestCachePolicy:
             assert sim_v4.request_count == 1
 
 
+    def test_a_miss_whose_task_starts_after_the_flight_ended_joins_it(self):
+        gw = Gateway(make_config([DeviceConfig(device_id="d", endpoint="127.0.0.1:9")]))
+        gw.register_device_config(gw.config.devices[0])
+        forwarded = []
+
+        async def scenario():
+            release = asyncio.get_running_loop().create_future()
+
+            async def pipeline(record, method, path, body, doc, family, key):
+                forwarded.append(key)
+                await release
+                gw.cache.put(key, CacheEntry(200, b"{}", time.monotonic(), 60.0))
+                return gw._device_response(record, 200, b"{}", "miss")
+
+            gw._forward_pipeline = pipeline
+            args = ("10.0.0.1", "v4", "GET", "/devices/d/x", {}, b"")
+            first = asyncio.ensure_future(gw._front(*args))
+            await asyncio.sleep(0)  # the first miss is in flight
+            second = gw._front(*args)  # a miss too: nothing is cached yet
+            release.set_result(None)  # the flight ends before the second task starts
+            second = asyncio.ensure_future(second)
+            return await first, await second
+
+        _, second = asyncio.run(scenario())
+        assert len(forwarded) == 1
+        assert ("X-WoT-Cache", "hit") in second[1]
+
     def test_concurrent_errors_coalesce_to_one_device_request(self, sim_v4):
         # errors are not cached, so a request arriving after the first one
         # finished would reach the device again: start all ten together and
@@ -1327,6 +1354,17 @@ class TestDeviceLegFraming:
             assert _idle(gw) == pooled
             assert device.connections == 2 - pooled
             assert gw.stats()["pool"]["discarded"] == 0
+
+    def test_a_body_read_to_eof_that_stalls_times_out(self):
+        device = _ScriptedDevice(b'HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{"sta')
+        cfg = make_config([DeviceConfig(device_id="d", endpoint=format_hostport(*device.address))],
+                          cache_enabled=False, request_timeout_seconds=0.3)
+        try:
+            with running(cfg) as gw:
+                status, _, body = _request(gw.listen_address("v4"), "GET", "/devices/d/status")
+        finally:
+            device.close()
+        assert (status, codec.parse_json(body)) == (504, {"status": "device_timeout", "device": "d"})
 
     def test_a_reply_arriving_a_byte_at_a_time_is_read(self):
         payload = (b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
