@@ -8,7 +8,11 @@ terminated connections.
 
 __version__ = "0.1.0"
 
-# Address-family names used across the package; defined here so that the
-# device simulator does not import the SOCKS relay module to know them.
+import socket
+
+# Address-family names used across the package, and their socket families;
+# defined here so that the device simulator does not import the SOCKS relay
+# module to know them.
 FAMILY_V4 = "v4"
 FAMILY_V6 = "v6"
+_AF = {FAMILY_V4: socket.AF_INET, FAMILY_V6: socket.AF_INET6}

@@ -125,14 +125,7 @@ def _cmd_sim(args) -> int:
     except (ConfigError, ValueError, codec.MappingError, OSError) as exc:
         print(f"wotgw: sim setup error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        sim.start()
-    except OSError as exc:
-        if exc.errno in (errno.EADDRINUSE, errno.EACCES):
-            print(f"wotgw: cannot bind {args.bind}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        log.exception("sim failed to start")
-        return EXIT_RUNTIME
+    sim.start()  # the constructor has bound the address
     print(f"device listening on {format_hostport(*sim.address)}", file=sys.stderr)
     _run_forever("sim ready; Ctrl-C stops it")
     sim.stop()

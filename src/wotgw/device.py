@@ -4,9 +4,10 @@ Speaks coded JSON on the wire: POST /power takes a coded query and returns
 the coded readings array; GET /status answers {"status":"ok"}. Latency,
 seeded failure injection (connection reset), and a power-save idle mode are
 configurable so gateway behavior is observable and reproducible. The server
-is intentionally weak — one OS thread per connection, each feeding the
-gateway's HTTP/1.1 ``Connection`` from a blocking socket — which is exactly
-what the gateway's cache is meant to protect.
+is intentionally weak — every connection is served by the gateway's HTTP/1.1
+``Connection`` on one event loop thread, and a delayed reply holds its
+connection until it is sent — which is exactly what the gateway's cache is
+meant to protect.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ import json
 import logging
 import random
 import socket
-import socketserver
 import struct
 import threading
 import time
-from contextlib import suppress
 from dataclasses import dataclass
 
-from wotgw import FAMILY_V4, FAMILY_V6, codec
-from wotgw.http11 import JSON_TYPE, Connection
+from wotgw import _AF, FAMILY_V4, FAMILY_V6, codec
+from wotgw.http11 import JSON_TYPE, Connection, LoopThread
 
 log = logging.getLogger("wotgw.device")
 
@@ -113,6 +112,13 @@ class _SimConnection(Connection):
         super().__init__()
         self.simulator = simulator
 
+    def connection_made(self, transport):
+        super().connection_made(transport)
+        self.simulator._connections.add(self)
+
+    def connection_lost(self, exc):
+        self.simulator._connections.discard(self)
+
     def respond(self, method, path, headers, body):
         """Count the request, apply the injected delays and failures, answer it."""
         sim = self.simulator
@@ -126,144 +132,51 @@ class _SimConnection(Connection):
             napping = sim.power_save_idle > 0 and idle >= sim.power_save_idle
             wake = sim.wake_latency if napping else 0.0
         if fail:
-            self.transport.abort()  # reset the TCP connection without an HTTP response
+            # reset the TCP connection without an HTTP response
+            sock = self.transport.get_extra_info("socket")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            self.transport.abort()
             return None
-        if wake or latency:
-            time.sleep(wake + latency)
-        if method == "GET" and path == "/status":
-            return _json(200, {"status": "ok"})
-        if method == "GET" or path != "/power":
-            return _json(404, {"error": "not_found"})
-        try:
-            reply = answer_power_query(codec.parse_json(body), sim.readings, sim.mapping)
-        except (ValueError, TypeError, KeyError) as exc:
-            log.debug("bad power query: %s", exc)
-            return _json(400, codec.encode_keys({"error": "bad_request"}, sim.mapping))
-        return _json(200, reply)
+        reply = _answer(sim, method, path, body)
+        return _delayed(wake + latency, reply) if wake or latency else reply
+
+
+def _answer(sim: "DeviceSimulator", method: str, path: str, body: bytes):
+    if method == "GET" and path == "/status":
+        return _json(200, {"status": "ok"})
+    if method == "GET" or path != "/power":
+        return _json(404, {"error": "not_found"})
+    try:
+        reply = answer_power_query(codec.parse_json(body), sim.readings, sim.mapping)
+    except (ValueError, TypeError, KeyError) as exc:
+        log.debug("bad power query: %s", exc)
+        return _json(400, codec.encode_keys({"error": "bad_request"}, sim.mapping))
+    return _json(200, reply)
+
+
+async def _delayed(delay: float, reply):
+    import asyncio
+
+    await asyncio.sleep(delay)
+    return reply
 
 
 def _json(status: int, value):
     return status, [JSON_TYPE], codec.canonical_bytes(value)
 
 
-class _SocketTransport:
-    """What a Connection calls on its transport, done on the blocking socket
-    of a handler thread."""
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.closing = False
-
-    def write(self, data: bytes) -> None:
-        try:
-            self.sock.sendall(data)
-        except OSError:  # the client is gone
-            self.closing = True
-
-    def write_eof(self) -> None:
-        self.sock.shutdown(socket.SHUT_WR)
-
-    def close(self) -> None:
-        self.closing = True
-
-    def abort(self) -> None:
-        with suppress(OSError):
-            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-            self.sock.close()
-        self.closing = True
-
-    def is_closing(self) -> bool:
-        return self.closing
-
-    def pause_reading(self) -> None:
-        pass
-
-    resume_reading = pause_reading
-
-
-class _SimServer(socketserver.ThreadingTCPServer):
-    """The simulator's listener: each accepted connection is served on a
-    daemon thread of its own, by the gateway's HTTP/1.1 Connection.
-
-    A v6 listener is v6-only, so a v4 and a v6 listener can share a port
-    number. Accepted connections have Nagle's algorithm off.
-    """
-
-    daemon_threads = True
-    allow_reuse_address = True
-    # socketserver's default backlog of 5 drops the SYNs of a burst of new
-    # clients, which then retry a second later
-    request_queue_size = 128
-
-    def __init__(self, bind: tuple[str, int], family: int, simulator: "DeviceSimulator"):
-        self.address_family = family
-        self.simulator = simulator
-        self._open: set[socket.socket] = set()
-        self._open_lock = threading.Condition()
-        self._thread: threading.Thread | None = None
-        super().__init__(bind, None)
-
-    def server_bind(self):
-        if self.address_family == socket.AF_INET6:
-            self.socket.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY, 1)
-        super().server_bind()
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": 0.05}, name="device-sim", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Close the listener, shut down every accepted connection, idle
-        keep-alive ones included, and wait up to 5 s for their threads."""
-        if self._thread is not None:
-            with suppress(OSError):  # wakes serve_forever from its poll
-                self.socket.shutdown(socket.SHUT_RDWR)
-            self.shutdown()
-            self._thread.join(5)
-        self.server_close()
-        with self._open_lock:
-            conns = list(self._open)
-        for conn in conns:
-            with suppress(OSError):
-                conn.shutdown(socket.SHUT_RDWR)
-        with self._open_lock:
-            self._open_lock.wait_for(lambda: not self._open, 5)
-
-    def process_request(self, request, client_address):
-        request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with self._open_lock:
-            self._open.add(request)
-        super().process_request(request, client_address)
-
-    def finish_request(self, request, client_address):
-        """Feed one connection's bytes to a Connection until either side ends it."""
-        transport = _SocketTransport(request)
-        conn = _SimConnection(self.simulator)
-        conn.connection_made(transport)
-        while not transport.closing:
-            try:
-                data = request.recv(65536)
-            except OSError:  # the client reset the connection
-                break
-            if not data:
-                conn.eof_received()
-                break
-            conn.data_received(data)
-
-    def shutdown_request(self, request):
-        super().shutdown_request(request)
-        with self._open_lock:
-            self._open.discard(request)
-            self._open_lock.notify_all()
-
-    def handle_error(self, request, client_address):
-        log.exception("connection from %s failed", client_address)
+def _check_delay(name: str, value: float) -> None:
+    if not value >= 0:  # NaN too
+        raise ValueError(f"{name} must be nonnegative")
 
 
 class DeviceSimulator:
-    """Runnable simulator handle: lifecycle, counters, and behavior injection."""
+    """Runnable simulator handle: lifecycle, counters, and behavior injection.
+
+    The listener is bound on construction, so ``address`` holds before
+    ``start``. A v6 listener is v6-only, so a v4 and a v6 simulator can share
+    a port number.
+    """
 
     def __init__(
         self,
@@ -278,6 +191,8 @@ class DeviceSimulator:
     ):
         if not 0.0 <= failure_rate <= 1.0:
             raise ValueError("failure_rate must be within [0, 1]")
+        _check_delay("base_latency", base_latency)
+        _check_delay("wake_latency", wake_latency)
         self.readings = tuple(readings)
         self.mapping = mapping
         self.base_latency = base_latency
@@ -288,17 +203,12 @@ class DeviceSimulator:
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._last_request_at = time.monotonic()
-        host = bind[0]
-        family = socket.AF_INET6 if ":" in host else socket.AF_INET
-        self._server = _SimServer(bind, family, self)
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._server.server_address[:2]
-
-    @property
-    def family(self) -> str:
-        return FAMILY_V6 if self._server.address_family == socket.AF_INET6 else FAMILY_V4
+        self._connections: set[_SimConnection] = set()
+        self._thread: LoopThread | None = None
+        self._server = None  # the asyncio server on the loop thread, once started
+        self.family = FAMILY_V6 if ":" in bind[0] else FAMILY_V4
+        self._sock = socket.create_server(bind, family=_AF[self.family], backlog=128)
+        self.address: tuple[str, int] = self._sock.getsockname()[:2]
 
     @property
     def request_count(self) -> int:
@@ -306,18 +216,35 @@ class DeviceSimulator:
             return self.request_counter
 
     def start(self) -> "DeviceSimulator":
-        self._server.start()
+        self._thread = LoopThread("device-sim", self._open, self._close)
         log.info("simulator listening addr=%s family=%s", self.address, self.family)
         return self
 
     def stop(self) -> None:
         """Stop listening and drop open connections, so peers see EOF."""
-        self._server.stop()
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            thread.stop()
+        self._sock.close()
+
+    async def _open(self) -> None:
+        import asyncio
+
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _SimConnection(self), sock=self._sock, backlog=128
+        )
+
+    async def _close(self) -> None:
+        if self._server is not None:
+            self._server.close()
+        for conn in list(self._connections):
+            conn.close()
 
     def inject_behavior(self, latency: float | None = None, failure_rate: float | None = None) -> None:
         """Adjust response latency and per-request failure probability at runtime."""
         with self._lock:
             if latency is not None:
+                _check_delay("latency", latency)
                 self.base_latency = latency
             if failure_rate is not None:
                 if not 0.0 <= failure_rate <= 1.0:

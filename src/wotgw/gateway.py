@@ -23,12 +23,11 @@ import ipaddress
 import json
 import logging
 import math
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
 
-from wotgw import codec, http11, socks
+from wotgw import _AF, codec, http11, socks
 from wotgw.cache import NOT_JSON, CacheEntry, CacheKey, ResponseCache, parse_body
 from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, format_hostport, parse_hostport
 from wotgw.guard import DosGuard
@@ -42,8 +41,6 @@ log = logging.getLogger("wotgw.gateway")
 HEALTH_UNKNOWN = "unknown"
 HEALTH_UP = "up"
 HEALTH_DOWN = "down"
-
-_AF = {FAMILY_V4: socket.AF_INET, FAMILY_V6: socket.AF_INET6}
 
 # Idle keep-alive connections kept per device and leg; more are closed after use.
 POOL_MAX_IDLE = 2
@@ -274,7 +271,7 @@ class DeviceRecord:
     def describe(self) -> dict:
         return {
             "device_id": self.device_id,
-            "endpoint": f"[{self.host}]:{self.port}" if ":" in self.host else f"{self.host}:{self.port}",
+            "endpoint": format_hostport(self.host, self.port),
             "family": self.family or "unknown",
             "health": self.health,
             "last_probe": self.last_probe,
@@ -378,12 +375,7 @@ class Gateway:
         raising."""
         for cfg in self.config.devices:
             self.register_device_config(cfg)
-        self._thread = http11.LoopThread("gateway-loop")
-        try:
-            self._thread.run(self._open())
-        except BaseException:
-            self.stop()
-            raise
+        self._thread = http11.LoopThread("gateway-loop", self._open, self._close)
         log.info(
             "gateway ready listen_v4=%s listen_v6=%s relay=%s",
             self.listen_address(FAMILY_V4),
@@ -412,7 +404,6 @@ class Gateway:
         requests still waiting for a device and stop the loop thread."""
         thread, self._thread = self._thread, None
         if thread is not None:
-            thread.run(self._close())
             thread.stop()
 
     async def _close(self) -> None:
@@ -425,7 +416,6 @@ class Gateway:
             self._count_pool("discarded", record.pool.close())
         if self.relay is not None:
             await self.relay.close()
-        await asyncio.sleep(0)  # lets the closed transports call connection_lost
 
     def listen_address(self, family: str) -> tuple[str, int] | None:
         server = self._servers.get(family)

@@ -1,8 +1,8 @@
 """What the gateway, the relay and the device simulator share: the framer,
 whose ``check_line`` and ``parse_head`` take every request and reply head on
-both gateway legs; ``Connection``, the HTTP/1.1 server connection, which the
-gateway serves on its event loop and the simulator on a thread per
-connection; and ``LoopThread``, the thread an event loop runs on.
+both gateway legs; ``Connection``, the HTTP/1.1 server connection, an asyncio
+protocol that all three serve; and ``LoopThread``, the thread an event loop
+runs on, with the listeners of a standalone server.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ def render(status: int, headers, payload: bytes, keep: bool, server: str) -> byt
 
 
 class Connection:
-    """One HTTP/1.1 connection, an asyncio protocol: requests answered in
-    order until one closes it.
+    """One HTTP/1.1 server connection, an asyncio protocol on an event
+    loop's transport: requests answered in order until one closes it.
 
     ``respond`` returns the reply as (status, [(name, value)], body), an
     awaitable of it, or None after closing the connection itself. While a
@@ -329,15 +329,26 @@ def _loop_error(loop, context) -> None:
 
 
 class LoopThread:
-    """An event loop running on a daemon thread of its own."""
+    """An event loop running on a daemon thread of its own, serving what
+    ``open`` opens on it until ``stop``, which runs ``close`` there first.
 
-    def __init__(self, name: str):
+    ``open`` and ``close`` are coroutine functions; a start whose ``open``
+    raises closes and stops everything before raising.
+    """
+
+    def __init__(self, name: str, open, close):
         import asyncio
 
+        self._close = close
         self.loop = asyncio.new_event_loop()
         self.loop.set_exception_handler(_loop_error)
         self.thread = threading.Thread(target=self.loop.run_forever, name=name, daemon=True)
         self.thread.start()
+        try:
+            self.run(open())
+        except BaseException:
+            self.stop()
+            raise
 
     def run(self, coro):
         """Run ``coro`` on the loop from another thread and return its result."""
@@ -349,8 +360,8 @@ class LoopThread:
         return asyncio.run_coroutine_threadsafe(coro, self.loop).result()
 
     def stop(self) -> None:
-        """Cancel the loop's tasks and wait for them and its executor, then
-        stop the loop and close it."""
+        """Run ``close``, cancel the loop's tasks and wait for them and its
+        executor, then stop the loop and close it."""
         self.run(self._drain())
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(5)
@@ -359,6 +370,8 @@ class LoopThread:
     async def _drain(self) -> None:
         import asyncio
 
+        await self._close()
+        await asyncio.sleep(0)  # lets the closed transports call connection_lost
         tasks = asyncio.all_tasks() - {asyncio.current_task()}
         for task in tasks:
             task.cancel()

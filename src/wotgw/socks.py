@@ -23,7 +23,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
-from wotgw import FAMILY_V4, FAMILY_V6
+from wotgw import _AF, FAMILY_V4, FAMILY_V6
 from wotgw.http11 import LoopThread
 
 if TYPE_CHECKING:  # imported where it is used; see wotgw.http11
@@ -55,8 +55,6 @@ REP_TTL_EXPIRED = 0x06
 REP_COMMAND_NOT_SUPPORTED = 0x07
 REP_ADDRESS_TYPE_NOT_SUPPORTED = 0x08
 
-
-_AF = {FAMILY_V4: socket.AF_INET, FAMILY_V6: socket.AF_INET6}
 
 DEFAULT_IDLE_TIMEOUT = 300.0
 DEFAULT_CONNECT_TIMEOUT = 10.0
@@ -484,18 +482,12 @@ class SocksRelayServer:
 
     def start(self) -> None:
         """Listen on a loop thread of the relay's own."""
-        self._thread = LoopThread("socks-relay")
-        try:
-            self._thread.run(self.open())
-        except BaseException:
-            self.stop()
-            raise
+        self._thread = LoopThread("socks-relay", self.open, self.close)
 
     def stop(self) -> None:
         """Close the listeners and every session, so peers read EOF."""
         thread, self._thread = self._thread, None
         if thread is not None:
-            thread.run(self.close())
             thread.stop()
 
     async def open(self) -> None:
@@ -514,8 +506,6 @@ class SocksRelayServer:
 
     async def close(self) -> None:
         """Close the listeners and end every session."""
-        import asyncio
-
         for server in self._servers.values():
             server.close()
         self._servers.clear()
@@ -523,7 +513,6 @@ class SocksRelayServer:
             if client.task is not None:
                 client.task.cancel()
             client.end()
-        await asyncio.sleep(0)  # lets the closed transports call connection_lost
 
     def listen_address(self, family: str) -> tuple[str, int] | None:
         server = self._servers.get(family)

@@ -2,11 +2,10 @@
 
 ROADMAP aim 3: malformed or hostile input never gets a traceback. A request
 whose answer raised is logged by ``http11.Connection`` and answered 500; an
-exception that escapes a callback or task on the event loop of the gateway
-or the relay reaches the loop's exception handler, which logs it; a handler
-thread of the device simulator that ends with an exception is logged by its
-server. All of them log at ERROR under the ``wotgw`` logger, and every test
-fails if one did during it.
+exception that escapes a callback or task on the event loop of the gateway,
+the relay or the device simulator reaches the loop's exception handler,
+which logs it. All of them log at ERROR under the ``wotgw`` logger, and
+every test fails if one did during it.
 """
 
 import logging

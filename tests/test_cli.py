@@ -182,6 +182,11 @@ class TestSimCommand:
         assert result.returncode == 2
         assert "sim setup error" in result.stderr
 
+    def test_negative_latency(self):
+        result = run_cli("sim", "--latency-ms", "-5")
+        assert result.returncode == 2
+        assert "sim setup error" in result.stderr
+
     def test_missing_mapping_file(self, tmp_path):
         result = run_cli("sim", "--mapping", str(tmp_path / "no.map"))
         assert result.returncode == 2

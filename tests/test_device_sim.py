@@ -1,6 +1,7 @@
 import http.client
 import random
 import socket
+import threading
 import time
 
 import pytest
@@ -186,6 +187,32 @@ class TestLiveSimulator:
         assert status == 200
         assert elapsed >= 0.08
 
+    def test_delayed_requests_wait_together_on_no_new_threads(self, sim):
+        sim.inject_behavior(latency=0.3)
+        threads = threading.active_count()
+        socks = [socket.create_connection(sim.address, timeout=5.0) for _ in range(8)]
+        try:
+            start = time.monotonic()
+            for sock in socks:
+                sock.sendall(b"GET /status HTTP/1.1\r\nHost: sim\r\n\r\n")
+            deadline = start + 5.0
+            while sim.request_count < 8 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert threading.active_count() == threads  # while all 8 wait
+            replies = []
+            for sock in socks:
+                reply = b""
+                while not reply.endswith(b'{"status":"ok"}') and (chunk := sock.recv(4096)):
+                    reply += chunk
+                replies.append(reply)
+            elapsed = time.monotonic() - start
+        finally:
+            for sock in socks:
+                sock.close()
+        assert all(reply.startswith(b"HTTP/1.1 200 ") for reply in replies)
+        assert all(reply.endswith(b'{"status":"ok"}') for reply in replies)
+        assert elapsed < 1.2  # one after another would take 2.4 s
+
     def test_certain_failure_resets_connection(self, sim):
         sim.inject_behavior(failure_rate=1.0)
         with pytest.raises((ConnectionError, http.client.HTTPException, OSError)):
@@ -226,6 +253,16 @@ class TestLiveSimulator:
             sim.inject_behavior(failure_rate=1.5)
         with pytest.raises(ValueError):
             DeviceSimulator(failure_rate=-0.1)
+
+    def test_negative_latency_rejected(self, sim):
+        with pytest.raises(ValueError):
+            sim.inject_behavior(latency=-0.01)
+        assert sim.base_latency == 0.0
+
+    @pytest.mark.parametrize("delay", ["base_latency", "wake_latency"])
+    def test_negative_delay_rejected_on_construction(self, delay):
+        with pytest.raises(ValueError):
+            DeviceSimulator(**{delay: -0.01})
 
 
 def test_seeded_failures_replay_exactly():

@@ -850,26 +850,31 @@ class TestDeviceLegPool:
                 return [conn.writer.get_extra_info("socket") for record in gw.registry.all()
                         for idle in record.pool._idle.values() for conn, _ in idle]
 
+            def open_at_devices():
+                return len(sim_v4._connections) + len(sim_v6._connections)
+
             def fill():
                 for device in ("four", "six"):  # one direct leg, one relay tunnel
                     assert _request(addr, "GET", f"/devices/{device}/status")[0] == 200
                 socks = pooled_sockets()
                 assert len(socks) == 2
-                # the simulators' handler threads, one per pooled connection;
-                # the gateway starts none
-                assert threading.active_count() == baseline + 2
+                # the simulators serve one connection per pooled one;
+                # the gateway starts no thread
+                assert open_at_devices() == 2
+                assert threading.active_count() == baseline
                 return socks
 
             socks = fill()
             for device, sim in (("four", sim_v4), ("six", sim_v6)):
                 gw.register_device_config(power_device(sim, device), replace=True)
             assert all(sock.fileno() == -1 for sock in socks)
-            assert _wait_for(lambda: threading.active_count() == baseline)
+            assert _wait_for(lambda: open_at_devices() == 0)
 
             socks = fill()
         finally:
             gw.stop()
         assert all(sock.fileno() == -1 for sock in socks)
+        assert _wait_for(lambda: open_at_devices() == 0)
         assert _wait_for(lambda: threading.active_count() == before_gateway)
 
     def test_connection_closed_while_idle_is_not_reused(self):

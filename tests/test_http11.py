@@ -13,7 +13,8 @@ from wotgw import http11
 def test_servers_load_no_stdlib_http_modules():
     code = (
         "import sys, wotgw.gateway, wotgw.device, wotgw.socks\n"
-        "print(sorted(m for m in ('http.server', 'http.client') if m in sys.modules))\n"
+        "print(sorted(m for m in ('http.server', 'http.client', 'socketserver')\n"
+        "             if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(wotgw.__file__))
     env = {**os.environ, "PYTHONPATH": src}
