@@ -218,9 +218,7 @@ def run_scenario(
             warm.run()
 
         before_device = sim.request_count
-        with gateway._stats_lock:
-            before_dev_bytes = gateway.device_leg_bytes
-            before_cli_bytes = gateway.client_leg_bytes
+        before = gateway.stats()
 
         rng = random.Random(scenario.seed)
         gate = threading.Event()
@@ -239,9 +237,9 @@ def run_scenario(
         errors = sum(c.errors for c in clients)
         total = scenario.clients * scenario.requests_per_client
         device_requests = sim.request_count - before_device
-        with gateway._stats_lock:
-            dev_bytes = gateway.device_leg_bytes - before_dev_bytes
-            cli_bytes = gateway.client_leg_bytes - before_cli_bytes
+        after = gateway.stats()
+        dev_bytes = after["device_leg_bytes"] - before["device_leg_bytes"]
+        cli_bytes = after["client_leg_bytes"] - before["client_leg_bytes"]
         hit_ratio = 0.0 if total == 0 else max(0.0, 1.0 - device_requests / total)
         if not latencies:
             latencies = [0.0]

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from wotgw import _AF, FAMILY_V4, FAMILY_V6, codec
-from wotgw.http11 import JSON_TYPE, Connection, LoopThread
+from wotgw.http11 import JSON_TYPE, Connection, LoopServer
 
 log = logging.getLogger("wotgw.device")
 
@@ -108,20 +108,9 @@ class _SimConnection(Connection):
     methods = frozenset(("GET", "POST"))
     server_version = "wotgw-sim/0.1"
 
-    def __init__(self, simulator: "DeviceSimulator"):
-        super().__init__()
-        self.simulator = simulator
-
-    def connection_made(self, transport):
-        super().connection_made(transport)
-        self.simulator._connections.add(self)
-
-    def connection_lost(self, exc):
-        self.simulator._connections.discard(self)
-
     def respond(self, method, path, headers, body):
         """Count the request, apply the injected delays and failures, answer it."""
-        sim = self.simulator
+        sim = self.server
         now = time.monotonic()
         with sim._lock:
             sim.request_counter += 1
@@ -170,13 +159,20 @@ def _check_delay(name: str, value: float) -> None:
         raise ValueError(f"{name} must be nonnegative")
 
 
-class DeviceSimulator:
+def _check_rate(value: float) -> None:
+    if not 0.0 <= value <= 1.0:  # NaN too
+        raise ValueError("failure_rate must be within [0, 1]")
+
+
+class DeviceSimulator(LoopServer):
     """Runnable simulator handle: lifecycle, counters, and behavior injection.
 
     The listener is bound on construction, so ``address`` holds before
     ``start``. A v6 listener is v6-only, so a v4 and a v6 simulator can share
     a port number.
     """
+
+    thread_name = "device-sim"
 
     def __init__(
         self,
@@ -189,8 +185,7 @@ class DeviceSimulator:
         power_save_idle: float = 30.0,
         wake_latency: float = 0.1,
     ):
-        if not 0.0 <= failure_rate <= 1.0:
-            raise ValueError("failure_rate must be within [0, 1]")
+        _check_rate(failure_rate)
         _check_delay("base_latency", base_latency)
         _check_delay("wake_latency", wake_latency)
         self.readings = tuple(readings)
@@ -203,42 +198,24 @@ class DeviceSimulator:
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._last_request_at = time.monotonic()
-        self._connections: set[_SimConnection] = set()
-        self._thread: LoopThread | None = None
-        self._server = None  # the asyncio server on the loop thread, once started
         self.family = FAMILY_V6 if ":" in bind[0] else FAMILY_V4
         self._sock = socket.create_server(bind, family=_AF[self.family], backlog=128)
         self.address: tuple[str, int] = self._sock.getsockname()[:2]
+        super().__init__({self.family: self._sock})
 
     @property
     def request_count(self) -> int:
         with self._lock:
             return self.request_counter
 
-    def start(self) -> "DeviceSimulator":
-        self._thread = LoopThread("device-sim", self._open, self._close)
-        log.info("simulator listening addr=%s family=%s", self.address, self.family)
-        return self
+    def accept(self, family: str) -> _SimConnection:
+        return _SimConnection(self)
 
     def stop(self) -> None:
-        """Stop listening and drop open connections, so peers see EOF."""
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.stop()
+        """Stop listening and drop open connections, so peers see EOF; the
+        socket bound on construction is closed even without a start."""
+        super().stop()
         self._sock.close()
-
-    async def _open(self) -> None:
-        import asyncio
-
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: _SimConnection(self), sock=self._sock, backlog=128
-        )
-
-    async def _close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-        for conn in list(self._connections):
-            conn.close()
 
     def inject_behavior(self, latency: float | None = None, failure_rate: float | None = None) -> None:
         """Adjust response latency and per-request failure probability at runtime."""
@@ -247,8 +224,7 @@ class DeviceSimulator:
                 _check_delay("latency", latency)
                 self.base_latency = latency
             if failure_rate is not None:
-                if not 0.0 <= failure_rate <= 1.0:
-                    raise ValueError("failure_rate must be within [0, 1]")
+                _check_rate(failure_rate)
                 self.failure_rate = failure_rate
 
 

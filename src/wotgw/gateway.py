@@ -27,7 +27,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from wotgw import _AF, codec, http11, socks
+from wotgw import codec, http11, socks
 from wotgw.cache import NOT_JSON, CacheEntry, CacheKey, ResponseCache, parse_body
 from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, format_hostport, parse_hostport
 from wotgw.guard import DosGuard
@@ -312,19 +312,21 @@ def _normalize_client_ip(host: str) -> str:
     return (mapped or addr).compressed
 
 
-async def _call(fn, *args):
-    return fn(*args)
-
-
-class Gateway:
+class Gateway(http11.LoopServer):
     """Pipeline state shared by all listeners: registry, cache, guard, relay.
 
     ``start`` runs the event loop thread that serves every socket; the
     public methods that wait on the network (``handle_client_request``,
     ``forward_to_device``, ``probe_device``) are for callers off that loop.
+    Stopping closes the listeners, every client connection, the device-leg
+    pools and the relay's sessions, so peers read EOF, and cancels the
+    requests still waiting for a device.
     """
 
+    thread_name = "gateway-loop"
+
     def __init__(self, config: GatewayConfig):
+        super().__init__({FAMILY_V4: config.listen_v4, FAMILY_V6: config.listen_v6})
         self.config = config
         self.registry = DeviceRegistry()
         self.cache = ResponseCache(
@@ -348,9 +350,6 @@ class Gateway:
                 resolver=self.resolver,
                 connect_timeout=config.request_timeout_seconds,
             )
-        self._thread: http11.LoopThread | None = None
-        self._servers: dict[str, asyncio.Server] = {}
-        self._clients: set[_ClientLeg] = set()
         self._prober: asyncio.Task | None = None
         self._stats_lock = threading.Lock()
         self.requests_total = 0
@@ -370,63 +369,28 @@ class Gateway:
     # -- lifecycle --
 
     def start(self) -> "Gateway":
-        """Start the loop thread, then on it the relay, the HTTP listeners
-        and the prober; a start that fails stops whatever it started before
-        raising."""
+        """Register the configured devices, then on the loop thread open
+        the relay, the HTTP listeners and the prober."""
         for cfg in self.config.devices:
             self.register_device_config(cfg)
-        self._thread = http11.LoopThread("gateway-loop", self._open, self._close)
-        log.info(
-            "gateway ready listen_v4=%s listen_v6=%s relay=%s",
-            self.listen_address(FAMILY_V4),
-            self.listen_address(FAMILY_V6),
-            "on" if self.relay else "off",
-        )
-        return self
+        return super().start()
 
-    async def _open(self) -> None:
+    def accept(self, family: str) -> _ClientLeg:
+        return _ClientLeg(self, family)
+
+    async def open(self) -> None:
         if self.relay is not None:
             await self.relay.open()
-        loop = asyncio.get_running_loop()
-        for family, spec in ((FAMILY_V4, self.config.listen_v4), (FAMILY_V6, self.config.listen_v6)):
-            if spec is not None:
-                self._servers[family] = await loop.create_server(
-                    lambda family=family: _ClientLeg(self, family), *spec, family=_AF[family], backlog=128
-                )
-        if not self._servers:
-            raise ValueError("gateway needs at least one HTTP listener")
+        await super().open()
         if self.config.probe_interval_seconds > 0:
-            self._prober = loop.create_task(self._probe_loop())
+            self._prober = self.loop.create_task(self._probe_loop())
 
-    def stop(self) -> None:
-        """Close the listeners, every client connection, the device-leg
-        pools and the relay's sessions, so peers read EOF; then cancel the
-        requests still waiting for a device and stop the loop thread."""
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.stop()
-
-    async def _close(self) -> None:
-        for server in self._servers.values():
-            server.close()
-        self._servers.clear()
-        for conn in list(self._clients):
-            conn.close()
+    def close(self) -> None:
+        super().close()
         for record in self.registry.all():
             self._count_pool("discarded", record.pool.close())
         if self.relay is not None:
-            await self.relay.close()
-
-    def listen_address(self, family: str) -> tuple[str, int] | None:
-        server = self._servers.get(family)
-        return server.sockets[0].getsockname()[:2] if server else None
-
-    def _run(self, coro):
-        """Run ``coro`` on the loop from another thread and return its result."""
-        if self._thread is None:
-            coro.close()
-            raise RuntimeError("the gateway is not running")
-        return self._thread.run(coro)
+            self.relay.close()
 
     # -- registration --
 
@@ -461,9 +425,7 @@ class Gateway:
             self.cache.invalidate_device(record.device_id)
             if previous is not record:
                 # the pool's connections belong to the loop thread
-                off_loop = self._thread is not None and threading.get_ident() != self._thread.thread.ident
-                closed = self._run(_call(previous.pool.close)) if off_loop else previous.pool.close()
-                self._count_pool("discarded", closed)
+                self._count_pool("discarded", self.call(previous.pool.close))
         log.info("registered device id=%s endpoint=%s:%s family=%s",
                  record.device_id, record.host, record.port, record.family or "unknown")
 
@@ -485,7 +447,7 @@ class Gateway:
         record = self.registry.get(device_id)
         if record is None:
             raise KeyError(device_id)
-        return self._run(self._probe(record))
+        return self.run(self._probe(record))
 
     async def _probe(self, record: DeviceRecord) -> str:
         try:
@@ -580,7 +542,7 @@ class Gateway:
         listener_family: str | None,
     ) -> tuple[int, str, bytes]:
         """Send the coded request to the device and wait for its reply; see ``_forward``."""
-        return self._run(self._forward(record, method, path, body, listener_family))
+        return self.run(self._forward(record, method, path, body, listener_family))
 
     async def _forward(self, record, method, path, body, listener_family) -> tuple[int, str, bytes]:
         """Send the coded request to the device, directly or through the relay.
@@ -656,7 +618,7 @@ class Gateway:
         """The pipeline for a caller off the loop: the front half runs on the
         calling thread, a miss on the loop."""
         reply = self._front(client_ip, listener_family, method, path, headers, body)
-        return reply if isinstance(reply, tuple) else self._run(reply)
+        return reply if isinstance(reply, tuple) else self.run(reply)
 
     def _front(self, client_ip, listener_family, method, path, headers, body):
         """Guard, route, health, parse, key and cache lookup: the response,
@@ -878,20 +840,15 @@ class _ClientLeg(http11.Connection):
     methods = frozenset(("GET", "POST", "PUT", "DELETE", "PATCH"))
 
     def __init__(self, gateway: Gateway, family: str):
-        super().__init__()
-        self.gateway = gateway
+        super().__init__(gateway)
         self.family = family
 
     def connection_made(self, transport):
         super().connection_made(transport)
         self.client_ip = _normalize_client_ip(transport.get_extra_info("peername")[0])
-        self.gateway._clients.add(self)
-
-    def connection_lost(self, exc):
-        self.gateway._clients.discard(self)
 
     def respond(self, method, path, headers, body):
-        gateway = self.gateway
+        gateway = self.server
         if path == "/admin" or path.startswith("/admin/"):
             return gateway.admin_request(method, path, body)
         return gateway._front(self.client_ip, self.family, method, path, headers, body)

@@ -1,8 +1,9 @@
 """What the gateway, the relay and the device simulator share: the framer,
 whose ``check_line`` and ``parse_head`` take every request and reply head on
 both gateway legs; ``Connection``, the HTTP/1.1 server connection, an asyncio
-protocol that all three serve; and ``LoopThread``, the thread an event loop
-runs on, with the listeners of a standalone server.
+protocol that all three serve; and ``LoopServer``, the base of all three:
+how a server listens, tracks and closes its connections, and runs on its
+loop thread.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import threading
 import time
 from contextlib import suppress
 from http import HTTPStatus
+
+from wotgw import _AF
 
 log = logging.getLogger("wotgw.http11")
 
@@ -188,14 +191,16 @@ class Connection:
     awaitable of it, or None after closing the connection itself. While a
     reply is awaited, and while the peer does not read its replies, the
     connection reads nothing more, so pipelined requests are answered in
-    order. A ``respond`` that raised is logged and answered 500.
+    order. A ``respond`` that raised is logged and answered 500. The
+    connection is in its server's ``_connections`` while connected.
     """
 
     methods: frozenset[str]
     server_version = "wotgw/0.1"
     pending = None  # the task of the awaited reply
 
-    def __init__(self):
+    def __init__(self, server: LoopServer):
+        self.server = server
         self.data = bytearray()  # received and not yet taken
         self.lines: list[bytes] = []  # the lines of a head still arriving
         self.head = None  # a checked head whose body is still arriving
@@ -208,9 +213,10 @@ class Connection:
 
     def connection_made(self, transport):
         self.transport = transport
+        self.server._connections.add(self)
 
     def connection_lost(self, exc):
-        pass
+        self.server._connections.discard(self)
 
     def data_received(self, data):
         self.data += data
@@ -328,49 +334,109 @@ def _loop_error(loop, context) -> None:
     log.error("event loop error: %s", context.get("message"), exc_info=context.get("exception"))
 
 
-class LoopThread:
-    """An event loop running on a daemon thread of its own, serving what
-    ``open`` opens on it until ``stop``, which runs ``close`` there first.
+class LoopServer:
+    """A server on an event loop: one listener per address family and the
+    connections they accepted.
 
-    ``open`` and ``close`` are coroutine functions; a start whose ``open``
-    raises closes and stops everything before raising.
+    ``listen`` maps a family to a (host, port), an already bound socket, or
+    None for no listener. ``open`` listens on the running loop and ``close``
+    closes the listeners and every connection, so peers read EOF;
+    subclasses supply ``accept(family)``, the protocol of a connection
+    accepted on that family, and may extend both. ``start`` runs a loop on
+    a daemon thread of the server's own and ``open`` on it; a start whose
+    ``open`` raises stops everything before raising. A server can also be
+    opened on a loop another server runs, as the gateway does its relay.
     """
 
-    def __init__(self, name: str, open, close):
+    thread_name = "wotgw-loop"
+    thread = None  # the loop's thread, from start to stop
+
+    def __init__(self, listen: dict):
+        self._listen = listen
+        self._servers = {}
+        self._connections = set()  # what accept returned, while connected
+
+    def accept(self, family: str):
+        raise NotImplementedError
+
+    async def open(self) -> None:
+        """Listen on the running loop."""
         import asyncio
 
-        self._close = close
+        if not any(self._listen.values()):
+            raise ValueError(f"{type(self).__name__} needs at least one listener")
+        self.loop = asyncio.get_running_loop()
+        for family, where in self._listen.items():
+            if where is None:
+                continue
+            host, port, sock = (*where, None) if isinstance(where, tuple) else (None, None, where)
+            self._servers[family] = await self.loop.create_server(
+                functools.partial(self.accept, family), host, port, family=_AF[family], sock=sock, backlog=128
+            )
+            log.info("%s listening family=%s addr=%s", self.thread_name, family, self.listen_address(family))
+
+    def close(self) -> None:
+        """Close the listeners and every connection."""
+        for server in self._servers.values():
+            server.close()
+        self._servers.clear()
+        for conn in list(self._connections):
+            conn.close()
+
+    def listen_address(self, family: str) -> tuple[str, int] | None:
+        server = self._servers.get(family)
+        return server.sockets[0].getsockname()[:2] if server else None
+
+    def start(self):
+        """Run ``open`` on a loop thread of the server's own; returns the server."""
+        import asyncio
+
         self.loop = asyncio.new_event_loop()
         self.loop.set_exception_handler(_loop_error)
-        self.thread = threading.Thread(target=self.loop.run_forever, name=name, daemon=True)
+        self.thread = threading.Thread(target=self.loop.run_forever, name=self.thread_name, daemon=True)
         self.thread.start()
         try:
-            self.run(open())
+            self.run(self.open())
         except BaseException:
             self.stop()
             raise
+        return self
+
+    def stop(self) -> None:
+        """Run ``close`` on the loop, cancel the loop's tasks and wait for
+        them and its executor, then stop the loop and its thread."""
+        if self.thread is None:
+            return
+        self.run(self._drain())
+        thread, self.thread = self.thread, None
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        thread.join(5)
+        self.loop.close()
 
     def run(self, coro):
-        """Run ``coro`` on the loop from another thread and return its result."""
-        if threading.get_ident() == self.thread.ident:
+        """Run ``coro`` on the loop thread from another thread and return its result."""
+        if self.thread is None or threading.get_ident() == self.thread.ident:
             coro.close()
-            raise RuntimeError("a blocking call on the event loop's own thread")
+            raise RuntimeError("a blocking call needs a started server, off its loop thread")
         import asyncio
 
         return asyncio.run_coroutine_threadsafe(coro, self.loop).result()
 
-    def stop(self) -> None:
-        """Run ``close``, cancel the loop's tasks and wait for them and its
-        executor, then stop the loop and close it."""
-        self.run(self._drain())
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(5)
-        self.loop.close()
+    def call(self, fn, *args):
+        """``fn(*args)``, on the loop thread when the server runs one and
+        this is another thread."""
+        if self.thread is None or threading.get_ident() == self.thread.ident:
+            return fn(*args)
+
+        async def on_loop():
+            return fn(*args)
+
+        return self.run(on_loop())
 
     async def _drain(self) -> None:
         import asyncio
 
-        await self._close()
+        self.close()
         await asyncio.sleep(0)  # lets the closed transports call connection_lost
         tasks = asyncio.all_tasks() - {asyncio.current_task()}
         for task in tasks:

@@ -23,8 +23,8 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
-from wotgw import _AF, FAMILY_V4, FAMILY_V6
-from wotgw.http11 import LoopThread
+from wotgw import FAMILY_V4, FAMILY_V6
+from wotgw.http11 import LoopServer
 
 if TYPE_CHECKING:  # imported where it is used; see wotgw.http11
     import asyncio
@@ -56,14 +56,11 @@ REP_COMMAND_NOT_SUPPORTED = 0x07
 REP_ADDRESS_TYPE_NOT_SUPPORTED = 0x08
 
 
-DEFAULT_IDLE_TIMEOUT = 300.0
+# Seconds without a byte relayed after which a session ends.
+IDLE_TIMEOUT = 300.0
 DEFAULT_CONNECT_TIMEOUT = 10.0
-
-STATE_NEGOTIATING = "negotiating"
-STATE_CONNECTING = "connecting"
-STATE_RELAYING = "relaying"
-STATE_CLOSED = "closed"
-_STATE_ORDER = (STATE_NEGOTIATING, STATE_CONNECTING, STATE_RELAYING, STATE_CLOSED)
+# The order of a name's candidates when it resolves to both families.
+FAMILY_PREFERENCE = (FAMILY_V6, FAMILY_V4)
 
 
 class SocksError(Exception):
@@ -213,18 +210,18 @@ def encode_reply(code: int, bound: tuple[str, int] | None = None) -> bytes:
 
 @dataclass(frozen=True)
 class ResolverPolicy:
-    """Name resolution source plus family preference when both families resolve.
+    """Name resolution source; candidates of both families are ordered by
+    FAMILY_PREFERENCE.
 
     ``static_table`` maps name -> ((family, address), ...); None selects the
     system resolver. Static-table resolution is deterministic by construction.
     """
 
     static_table: dict | None = None
-    preference: tuple[str, ...] = (FAMILY_V6, FAMILY_V4)
 
-    def order(self, candidates: list[Candidate]) -> list[Candidate]:
-        pref = {fam: i for i, fam in enumerate(self.preference)}
-        return sorted(candidates, key=lambda c: pref.get(c.family, len(pref)))
+    @staticmethod
+    def order(candidates: list[Candidate]) -> list[Candidate]:
+        return sorted(candidates, key=lambda c: FAMILY_PREFERENCE.index(c.family))
 
 
 def load_static_table(text: str) -> dict:
@@ -298,26 +295,9 @@ async def resolve(request: SocksConnectRequest, policy: ResolverPolicy) -> list[
 
 
 @dataclass
-class RelaySession:
-    client_address: tuple
-    client_family: str
-    target_family: str | None = None
-    bytes_up: int = 0  # client -> target
-    bytes_down: int = 0  # target -> client
-    state: str = STATE_NEGOTIATING
-    error: bool = False
-
-    def advance(self, state: str) -> None:
-        # transitions only move forward in _STATE_ORDER
-        if _STATE_ORDER.index(state) < _STATE_ORDER.index(self.state):
-            raise ValueError(f"illegal transition {self.state} -> {state}")
-        self.state = state
-
-
-@dataclass
 class RelayStats:
     sessions_total: int = 0
-    sessions_failed: int = 0
+    sessions_failed: int = 0  # ended without relaying: refused, unreachable or left
     active_sessions: int = 0
     bytes_up: int = 0
     bytes_down: int = 0
@@ -336,31 +316,33 @@ class RelayStats:
 
 class _Pipe:
     """One connection of a relay session, an asyncio protocol; the client's
-    owns the session.
+    is the session.
 
     The client's pipe reads the SOCKS5 negotiation into its buffer. Once the
     session relays, what a pipe reads its peer writes, a pipe reads nothing
     while its peer's write buffer is full, and its EOF half-closes the peer.
-    A session ends after ``idle_timeout`` seconds without a byte relayed.
+    A session ends after IDLE_TIMEOUT seconds without a byte relayed. The
+    client's pipe counts the session's bytes and is in its relay's
+    ``_connections`` while connected.
     """
 
     peer: "_Pipe | None" = None
-    task: asyncio.Task | None = None
+    task: asyncio.Task | None = None  # resolving and dialling the target
 
-    def __init__(self, relay: "SocksRelayServer", family: str, client: "_Pipe | None" = None):
-        self.relay, self.family = relay, family
+    def __init__(self, relay: "SocksRelayServer", client: "_Pipe | None" = None):
+        self.relay = relay
         self.client = client or self
         self.data = bytearray()  # the negotiation's bytes not yet taken
-        self.eof = self.greeted = self.ended = False
+        self.eof = self.greeted = self.relaying = self.ended = False
+        self.bytes_up = self.bytes_down = 0  # client -> target, target -> client
         self.last = time.monotonic()
 
     def connection_made(self, transport):
         self.transport = transport
         if self.client is not self:
             return transport.pause_reading()  # until the splice starts
-        self.session = RelaySession(transport.get_extra_info("peername"), self.family)
-        self.relay._clients.add(self)
-        self.timer = self.relay.loop.call_later(self.relay.idle_timeout, self._check_idle)
+        self.relay._connections.add(self)
+        self.timer = self.relay.loop.call_later(IDLE_TIMEOUT, self._check_idle)
 
     def data_received(self, data):
         client = self.client
@@ -373,9 +355,9 @@ class _Pipe:
             return
         client.last = time.monotonic()
         if self is client:
-            client.session.bytes_up += len(data)
+            client.bytes_up += len(data)
         else:
-            client.session.bytes_down += len(data)
+            client.bytes_down += len(data)
         self.peer.transport.write(data)
 
     def eof_received(self):
@@ -388,7 +370,7 @@ class _Pipe:
         return True
 
     def connection_lost(self, exc):
-        self.client.session.error |= exc is not None
+        self.relay._connections.discard(self)
         self.client.end()
 
     def pause_writing(self):
@@ -412,14 +394,13 @@ class _Pipe:
         if length is not None and len(data) >= length:
             request = parse_connect(bytes(data[:length]))
             del data[:length]
-            self.session.advance(STATE_CONNECTING)
             self.transport.pause_reading()
             self.task = self.relay.loop.create_task(self._connect(request))
 
     async def _connect(self, request: SocksConnectRequest) -> None:
         try:
             candidates = await resolve(request, self.relay.resolver)
-            await self.relay.establish_and_pump(self, candidates, self.session)
+            await self.relay.establish_and_pump(self, candidates)
         except SocksError as exc:
             self.refuse(exc)
 
@@ -427,14 +408,20 @@ class _Pipe:
         """Send the failure reply the error carries, if any, and end."""
         if exc.reply_code is not None:
             self.transport.write(encode_reply(exc.reply_code))
-        log.debug("session from %s failed: %s", self.session.client_address, exc)
+        log.debug("session from %s failed: %s", self.transport.get_extra_info("peername"), exc)
         self.end()
 
     def _check_idle(self) -> None:
         idle = time.monotonic() - self.last
-        if idle >= self.relay.idle_timeout:
+        if idle >= IDLE_TIMEOUT:
             return self.end()
-        self.timer = self.relay.loop.call_later(self.relay.idle_timeout - idle, self._check_idle)
+        self.timer = self.relay.loop.call_later(IDLE_TIMEOUT - idle, self._check_idle)
+
+    def close(self) -> None:
+        """Stop dialling the target and end the session."""
+        if self.task is not None:
+            self.task.cancel()
+        self.end()
 
     def end(self) -> None:
         """Close both connections of the session, once, and count it."""
@@ -442,20 +429,20 @@ class _Pipe:
             return
         self.ended = True
         self.timer.cancel()
-        self.relay._clients.discard(self)
         for pipe in (self, self.peer):
             if pipe is not None:
                 pipe.transport.close()
-        session, stats = self.session, self.relay.stats
-        if session.state == STATE_RELAYING:
-            with stats.lock:
+        stats = self.relay.stats
+        with stats.lock:
+            if self.relaying:
                 stats.active_sessions -= 1
-                stats.bytes_up += session.bytes_up
-                stats.bytes_down += session.bytes_down
-        session.state = STATE_CLOSED
+                stats.bytes_up += self.bytes_up
+                stats.bytes_down += self.bytes_down
+            else:
+                stats.sessions_failed += 1
 
 
-class SocksRelayServer:
+class SocksRelayServer(LoopServer):
     """SOCKS5 listener(s) splicing accepted connections to resolved targets.
 
     Every session runs on one event loop: the gateway's when the relay is
@@ -463,68 +450,29 @@ class SocksRelayServer:
     of the relay's own.
     """
 
+    thread_name = "socks-relay"
+
     def __init__(
         self,
         listen_v4: tuple[str, int] | None = ("127.0.0.1", 1080),
         listen_v6: tuple[str, int] | None = ("::1", 1080),
         resolver: ResolverPolicy | None = None,
-        idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
     ):
+        super().__init__({FAMILY_V4: listen_v4, FAMILY_V6: listen_v6})
         self.resolver = resolver or ResolverPolicy()
-        self.idle_timeout = idle_timeout
         self.connect_timeout = connect_timeout
-        self._listen_spec = {FAMILY_V4: listen_v4, FAMILY_V6: listen_v6}
-        self._servers: dict[str, asyncio.Server] = {}
-        self._clients: set[_Pipe] = set()
-        self._thread: LoopThread | None = None
         self.stats = RelayStats()
 
-    def start(self) -> None:
-        """Listen on a loop thread of the relay's own."""
-        self._thread = LoopThread("socks-relay", self.open, self.close)
+    def accept(self, family: str) -> _Pipe:
+        return _Pipe(self)
 
-    def stop(self) -> None:
-        """Close the listeners and every session, so peers read EOF."""
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.stop()
-
-    async def open(self) -> None:
-        """Listen on the running loop."""
-        import asyncio
-
-        if not any(self._listen_spec.values()):
-            raise ValueError("relay needs at least one listener")
-        self.loop = asyncio.get_running_loop()
-        for family, spec in self._listen_spec.items():
-            if spec is not None:
-                self._servers[family] = await self.loop.create_server(
-                    lambda family=family: _Pipe(self, family), *spec, family=_AF[family], backlog=128
-                )
-                log.info("socks listening family=%s addr=%s", family, self.listen_address(family))
-
-    async def close(self) -> None:
-        """Close the listeners and end every session."""
-        for server in self._servers.values():
-            server.close()
-        self._servers.clear()
-        for client in list(self._clients):
-            if client.task is not None:
-                client.task.cancel()
-            client.end()
-
-    def listen_address(self, family: str) -> tuple[str, int] | None:
-        server = self._servers.get(family)
-        return server.sockets[0].getsockname()[:2] if server else None
-
-    async def establish_and_pump(self, client: _Pipe, candidates: list[Candidate], session: RelaySession):
+    async def establish_and_pump(self, client: _Pipe, candidates: list[Candidate]) -> None:
         """Connect to the first reachable candidate, reply, and start the splice.
 
         The two connections then relay until each direction reaches
         end-of-stream (half-close propagated) or either side fails, and close
-        together. On failure a SocksError carries the RFC failure reply and
-        the session is closed with zero byte counts.
+        together. On failure a SocksError carries the RFC failure reply.
         """
         import asyncio
 
@@ -533,9 +481,7 @@ class SocksRelayServer:
         last_code = REP_HOST_UNREACHABLE
         for cand in candidates:
             try:
-                connecting = self.loop.create_connection(
-                    lambda: _Pipe(self, cand.family, client), cand.address, cand.port
-                )
+                connecting = self.loop.create_connection(lambda: _Pipe(self, client), cand.address, cand.port)
                 transport, target = await asyncio.wait_for(connecting, self.connect_timeout)
                 break
             except ConnectionRefusedError:
@@ -546,16 +492,12 @@ class SocksRelayServer:
                 unreachable = exc.errno in (errno.ENETUNREACH, errno.EHOSTUNREACH)
                 last_code = REP_NETWORK_UNREACHABLE if unreachable else REP_GENERAL_FAILURE
         else:
-            with self.stats.lock:
-                self.stats.sessions_failed += 1
-            session.state = STATE_CLOSED
             raise SocksError("all candidates unreachable", last_code)
         if client.ended:  # the client left while the target was dialled
             transport.close()
-            return session
-        session.target_family = cand.family
+            return
         client.transport.write(encode_reply(REP_SUCCESS, transport.get_extra_info("sockname")[:2]))
-        session.advance(STATE_RELAYING)
+        client.relaying = True
         with self.stats.lock:
             self.stats.sessions_total += 1
             self.stats.active_sessions += 1
@@ -564,7 +506,6 @@ class SocksRelayServer:
             client.data_received(bytes(client.data))
         client.transport.resume_reading()
         transport.resume_reading()
-        return session
 
 
 def socks_connect(

@@ -249,10 +249,12 @@ class TestLiveSimulator:
         assert "Traceback" not in capfd.readouterr().err
 
     def test_invalid_failure_rate_rejected(self, sim):
-        with pytest.raises(ValueError):
-            sim.inject_behavior(failure_rate=1.5)
-        with pytest.raises(ValueError):
-            DeviceSimulator(failure_rate=-0.1)
+        for rate in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                sim.inject_behavior(failure_rate=rate)
+            with pytest.raises(ValueError):
+                DeviceSimulator(failure_rate=rate)
+        assert sim.failure_rate == 0.0
 
     def test_negative_latency_rejected(self, sim):
         with pytest.raises(ValueError):

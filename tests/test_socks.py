@@ -19,7 +19,6 @@ from wotgw.socks import (
     REP_SUCCESS,
     SOCKS_VERSION,
     Candidate,
-    RelaySession,
     ResolverPolicy,
     SocksConnectRequest,
     SocksError,
@@ -199,13 +198,11 @@ class TestResolveTarget:
         assert resolve_target(req, ResolverPolicy()) == [Candidate("v6", "::1", 99)]
 
     def test_static_hit_ordered_by_preference(self):
-        table = load_static_table("dev v4 192.0.2.1\ndev v6 2001:db8::1\n")
         req = SocksConnectRequest("domain", "dev", 8080)
-        v6_first = resolve_target(req, ResolverPolicy(table, preference=("v6", "v4")))
-        assert [c.family for c in v6_first] == ["v6", "v4"]
-        v4_first = resolve_target(req, ResolverPolicy(table, preference=("v4", "v6")))
-        assert [c.family for c in v4_first] == ["v4", "v6"]
-        assert all(c.port == 8080 for c in v6_first)
+        for text in ("dev v4 192.0.2.1\ndev v6 2001:db8::1\n", "dev v6 2001:db8::1\ndev v4 192.0.2.1\n"):
+            candidates = resolve_target(req, ResolverPolicy(load_static_table(text)))
+            assert [c.family for c in candidates] == ["v6", "v4"]
+            assert all(c.port == 8080 for c in candidates)
 
     def test_static_miss_is_host_unreachable(self):
         req = SocksConnectRequest("domain", "nosuch", 80)
@@ -219,20 +216,6 @@ class TestResolveTarget:
         assert candidates
         assert all(c.port == 80 for c in candidates)
         assert {c.family for c in candidates} <= {"v4", "v6"}
-
-
-class TestRelaySession:
-    def test_advance_forward(self):
-        s = RelaySession(client_address=("127.0.0.1", 1), client_family="v4")
-        s.advance("connecting")
-        s.advance("relaying")
-        s.advance("closed")
-        assert s.state == "closed"
-
-    def test_advance_backward_rejected(self):
-        s = RelaySession(client_address=("127.0.0.1", 1), client_family="v4", state="relaying")
-        with pytest.raises(ValueError):
-            s.advance("connecting")
 
 
 # --- live relay ----------------------------------------------------------------
@@ -299,7 +282,6 @@ def relay():
         listen_v4=("127.0.0.1", 0),
         listen_v6=("::1", 0),
         connect_timeout=2.0,
-        idle_timeout=10.0,
     )
     server.start()
     yield server
@@ -311,6 +293,13 @@ def echo_v4():
     server = EchoServer()
     yield server
     server.close()
+
+
+def _unused_port() -> int:
+    """A v4 loopback port with no listener."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 def _wait_for(predicate, timeout=5.0):
@@ -362,14 +351,47 @@ class TestLiveRelay:
         assert hashlib.sha256(echoed).hexdigest() == hashlib.sha256(payload).hexdigest()
 
     def test_connection_refused_reply(self, relay):
-        # grab a port with no listener
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        dead_port = probe.getsockname()[1]
-        probe.close()
         with pytest.raises(SocksReplyError) as err:
-            socks_connect(relay.listen_address("v4"), "127.0.0.1", dead_port, timeout=2.0)
+            socks_connect(relay.listen_address("v4"), "127.0.0.1", _unused_port(), timeout=2.0)
         assert err.value.reply_code == REP_CONNECTION_REFUSED
+
+    def test_every_session_ending_unrelayed_counts_failed(self):
+        server = SocksRelayServer(
+            listen_v4=("127.0.0.1", 0),
+            listen_v6=None,
+            resolver=ResolverPolicy(static_table={}),
+            connect_timeout=2.0,
+        )
+        server.start()
+        try:
+            address = server.listen_address("v4")
+            with pytest.raises(SocksReplyError) as err:
+                socks_connect(address, "ghost.device", 80, timeout=2.0)
+            assert err.value.reply_code == REP_HOST_UNREACHABLE
+            with socket.create_connection(address, timeout=2.0) as sock:
+                sock.sendall(b"\x05\x01\x00")
+                assert sock.recv(2) == b"\x05\x00"
+                sock.sendall(bytes((SOCKS_VERSION, CMD_BIND, 0, 1)) + b"\x7f\x00\x00\x01\x00\x50")
+                assert sock.recv(10)[1] == REP_COMMAND_NOT_SUPPORTED
+            with pytest.raises(SocksReplyError) as err:
+                socks_connect(address, "127.0.0.1", _unused_port(), timeout=2.0)
+            assert err.value.reply_code == REP_CONNECTION_REFUSED
+            assert _wait_for(lambda: server.stats.snapshot()["sessions_failed"] == 3)
+            assert server.stats.snapshot()["sessions_total"] == 0
+        finally:
+            server.stop()
+
+    def test_failed_start_stops_what_it_started(self):
+        v4 = _unused_port()
+        with socket.socket(socket.AF_INET6) as taken:
+            taken.bind(("::1", 0))
+            taken.listen(1)
+            server = SocksRelayServer(listen_v4=("127.0.0.1", v4), listen_v6=taken.getsockname()[:2])
+            with pytest.raises(OSError):
+                server.start()
+        assert _wait_for(lambda: not any(t.name == "socks-relay" for t in threading.enumerate()))
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", v4))  # EADDRINUSE while the v4 listener is left open
 
     def test_static_miss_reply(self):
         server = SocksRelayServer(
