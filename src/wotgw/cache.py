@@ -8,7 +8,6 @@ deterministic.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
@@ -74,7 +73,7 @@ class CacheEntry:
 
 
 class ResponseCache:
-    """Thread-safe TTL+LRU cache bounded by entry count and total bytes."""
+    """TTL+LRU cache bounded by entry count and total bytes; not thread-safe."""
 
     def __init__(
         self,
@@ -87,7 +86,6 @@ class ResponseCache:
         self.default_ttl = default_ttl
         self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
         self._bytes = 0
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -95,20 +93,19 @@ class ResponseCache:
 
     def get(self, key: CacheKey, now: float) -> CacheEntry | None:
         """Return the fresh entry for ``key`` or None; a hit refreshes recency."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            if not entry.fresh(now):
-                del self._entries[key]
-                self._bytes -= entry.size
-                self.expirations += 1
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        if not entry.fresh(now):
+            del self._entries[key]
+            self._bytes -= entry.size
+            self.expirations += 1
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return entry
 
     def put(self, key: CacheKey, entry: CacheEntry) -> bool:
         """Store a success-class entry, evicting LRU residents to fit.
@@ -120,50 +117,44 @@ class ResponseCache:
             return False
         if entry.size > self.max_bytes or self.max_entries < 1:
             return False
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old.size
-            self._entries[key] = entry
-            self._bytes += entry.size
-            while len(self._entries) > self.max_entries or self._bytes > self.max_bytes:
-                _, victim = self._entries.popitem(last=False)
-                self._bytes -= victim.size
-                self.evictions += 1
-            return True
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self._bytes -= old.size
+        self._entries[key] = entry
+        self._bytes += entry.size
+        while len(self._entries) > self.max_entries or self._bytes > self.max_bytes:
+            _, victim = self._entries.popitem(last=False)
+            self._bytes -= victim.size
+            self.evictions += 1
+        return True
 
     def invalidate_device(self, device_id: str) -> int:
         """Drop every entry for ``device_id``; returns the number removed."""
-        with self._lock:
-            doomed = [k for k in self._entries if k.device_id == device_id]
-            for k in doomed:
-                self._bytes -= self._entries.pop(k).size
-            return len(doomed)
+        doomed = [k for k in self._entries if k.device_id == device_id]
+        for k in doomed:
+            self._bytes -= self._entries.pop(k).size
+        return len(doomed)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
+        self._entries.clear()
+        self._bytes = 0
 
     @property
     def entry_count(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     @property
     def byte_count(self) -> int:
-        with self._lock:
-            return self._bytes
+        return self._bytes
 
     def stats(self) -> dict:
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_ratio": self.hits / total if total else 0.0,
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "evictions": self.evictions,
-                "expirations": self.expirations,
-            }
+        total = self.hits + self.misses
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_ratio": self.hits / total if total else 0.0,
+            "entries": len(self._entries),
+            "bytes": self._bytes,
+            "evictions": self.evictions,
+            "expirations": self.expirations,
+        }

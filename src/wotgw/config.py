@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -189,6 +190,43 @@ def _coerce(value: object, kind: type) -> object:
     return kind(value)
 
 
+def device_config(device_id: str, entry, base_dir: Path = Path(".")) -> DeviceConfig:
+    """A device entry of a config document or an admin registration, with
+    every field checked; a bad one raises ConfigError. ``mapping_file`` is
+    resolved against ``base_dir``."""
+    endpoint = entry.get("endpoint") if isinstance(entry, dict) else None
+    if not isinstance(endpoint, str):
+        raise ConfigError(f"device {device_id!r}: entry must be an object with an endpoint string")
+    parse_hostport(endpoint)  # fail fast on malformed endpoints
+    mapping = entry.get("mapping")
+    if mapping is not None and not (
+        isinstance(mapping, dict)
+        and all(isinstance(k, str) and isinstance(v, str) for k, v in mapping.items())
+    ):
+        raise ConfigError(f"device {device_id!r}: mapping must map strings to strings")
+    mapping_file = entry.get("mapping_file")
+    if mapping_file is not None:
+        if not (isinstance(mapping_file, str) and (base_dir / mapping_file).is_file()):
+            raise ConfigError(f"device {device_id!r}: mapping file not found: {mapping_file!r}")
+        mapping_file = str(base_dir / mapping_file)
+    ttl = entry.get("ttl_seconds")
+    if ttl is not None:
+        try:
+            ttl = math.nan if isinstance(ttl, bool) else float(ttl)
+        except (TypeError, ValueError, OverflowError):
+            ttl = math.nan
+        if not 0 <= ttl < math.inf:  # NaN too
+            raise ConfigError(f"device {device_id!r}: ttl_seconds must be a finite number >= 0")
+    return DeviceConfig(
+        device_id=device_id,
+        endpoint=endpoint,
+        mapping_file=mapping_file,
+        mapping_inline=mapping,
+        ttl_seconds=ttl,
+        health_path=entry.get("health_path", "/status"),
+    )
+
+
 def _build(flat: dict, devices: list[dict], base_dir: Path) -> GatewayConfig:
     cfg = GatewayConfig(devices=[])
     for key, value in flat.items():
@@ -207,27 +245,9 @@ def _build(flat: dict, devices: list[dict], base_dir: Path) -> GatewayConfig:
         else:
             raise ConfigError(f"unknown config key {key!r}")
     for entry in devices:
-        if not isinstance(entry, dict) or "id" not in entry or "endpoint" not in entry:
+        if not isinstance(entry, dict) or "id" not in entry:
             raise ConfigError(f"device entry needs id and endpoint: {entry!r}")
-        parse_hostport(str(entry["endpoint"]))  # fail fast on malformed endpoints
-        mapping_file = entry.get("mapping_file")
-        if mapping_file is not None:
-            mapping_file = str(base_dir / mapping_file)
-            if not Path(mapping_file).is_file():
-                raise ConfigError(
-                    f"device {entry['id']!r}: mapping file not found: {mapping_file}"
-                )
-        ttl = entry.get("ttl_seconds")
-        cfg.devices.append(
-            DeviceConfig(
-                device_id=str(entry["id"]),
-                endpoint=str(entry["endpoint"]),
-                mapping_file=mapping_file,
-                mapping_inline=entry.get("mapping"),
-                ttl_seconds=float(ttl) if ttl is not None else None,
-                health_path=str(entry.get("health_path", "/status")),
-            )
-        )
+        cfg.devices.append(device_config(str(entry["id"]), entry, base_dir))
     if cfg.socks_resolver != "system" and not cfg.socks_resolver.startswith("static:"):
         raise ConfigError(f"socks.resolver must be 'system' or 'static:<path>'")
     return cfg

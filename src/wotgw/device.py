@@ -17,7 +17,6 @@ import logging
 import random
 import socket
 import struct
-import threading
 import time
 from dataclasses import dataclass
 
@@ -112,15 +111,13 @@ class _SimConnection(Connection):
         """Count the request, apply the injected delays and failures, answer it."""
         sim = self.server
         now = time.monotonic()
-        with sim._lock:
-            sim.request_counter += 1
-            idle = now - sim._last_request_at
-            sim._last_request_at = now
-            fail = sim.failure_rate > 0 and sim._rng.random() < sim.failure_rate
-            latency = sim.base_latency
-            napping = sim.power_save_idle > 0 and idle >= sim.power_save_idle
-            wake = sim.wake_latency if napping else 0.0
-        if fail:
+        sim.request_count += 1
+        idle = now - sim._last_request_at
+        sim._last_request_at = now
+        latency = sim.base_latency
+        napping = sim.power_save_idle > 0 and idle >= sim.power_save_idle
+        wake = sim.wake_latency if napping else 0.0
+        if sim.failure_rate > 0 and sim._rng.random() < sim.failure_rate:
             # reset the TCP connection without an HTTP response
             sock = self.transport.get_extra_info("socket")
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
@@ -194,19 +191,13 @@ class DeviceSimulator(LoopServer):
         self.failure_rate = failure_rate
         self.power_save_idle = power_save_idle
         self.wake_latency = wake_latency
-        self.request_counter = 0
+        self.request_count = 0
         self._rng = random.Random(seed)
-        self._lock = threading.Lock()
         self._last_request_at = time.monotonic()
         self.family = FAMILY_V6 if ":" in bind[0] else FAMILY_V4
         self._sock = socket.create_server(bind, family=_AF[self.family], backlog=128)
         self.address: tuple[str, int] = self._sock.getsockname()[:2]
         super().__init__({self.family: self._sock})
-
-    @property
-    def request_count(self) -> int:
-        with self._lock:
-            return self.request_counter
 
     def accept(self, family: str) -> _SimConnection:
         return _SimConnection(self)
@@ -218,14 +209,16 @@ class DeviceSimulator(LoopServer):
         self._sock.close()
 
     def inject_behavior(self, latency: float | None = None, failure_rate: float | None = None) -> None:
-        """Adjust response latency and per-request failure probability at runtime."""
-        with self._lock:
-            if latency is not None:
-                _check_delay("latency", latency)
-                self.base_latency = latency
-            if failure_rate is not None:
-                _check_rate(failure_rate)
-                self.failure_rate = failure_rate
+        """Adjust response latency and per-request failure probability at
+        runtime; both are checked before either is applied, on the loop."""
+        changes = {}
+        if latency is not None:
+            _check_delay("latency", latency)
+            changes["base_latency"] = latency
+        if failure_rate is not None:
+            _check_rate(failure_rate)
+            changes["failure_rate"] = failure_rate
+        self.call(vars(self).update, changes)
 
 
 def serve(**kwargs) -> DeviceSimulator:

@@ -23,13 +23,12 @@ import ipaddress
 import json
 import logging
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 
 from wotgw import codec, http11, socks
 from wotgw.cache import NOT_JSON, CacheEntry, CacheKey, ResponseCache, parse_body
-from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, format_hostport, parse_hostport
+from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, device_config, format_hostport, parse_hostport
 from wotgw.guard import DosGuard
 # socks_connect is not called here; perfbench's traced run patches this name
 from wotgw.socks import FAMILY_V4, FAMILY_V6, Candidate, SocksError, socks_connect  # noqa: F401
@@ -280,29 +279,6 @@ class DeviceRecord:
         }
 
 
-class DeviceRegistry:
-    def __init__(self):
-        self._devices: dict[str, DeviceRecord] = {}
-        self._lock = threading.Lock()
-
-    def swap(self, record: DeviceRecord, replace: bool = False) -> DeviceRecord | None:
-        """Add a device; returns the record it replaced, if any."""
-        with self._lock:
-            previous = self._devices.get(record.device_id)
-            if previous is not None and not replace:
-                raise DuplicateDeviceError(record.device_id)
-            self._devices[record.device_id] = record
-            return previous
-
-    def get(self, device_id: str) -> DeviceRecord | None:
-        with self._lock:
-            return self._devices.get(device_id)
-
-    def all(self) -> list[DeviceRecord]:
-        with self._lock:
-            return list(self._devices.values())
-
-
 def _normalize_client_ip(host: str) -> str:
     try:
         addr = ipaddress.ip_address(host.split("%")[0])
@@ -313,11 +289,11 @@ def _normalize_client_ip(host: str) -> str:
 
 
 class Gateway(http11.LoopServer):
-    """Pipeline state shared by all listeners: registry, cache, guard, relay.
+    """Pipeline state shared by all listeners: devices, cache, guard, relay.
 
-    ``start`` runs the event loop thread that serves every socket; the
-    public methods that wait on the network (``handle_client_request``,
-    ``forward_to_device``, ``probe_device``) are for callers off that loop.
+    ``start`` runs the event loop thread that serves every socket and alone
+    writes that state; the other public methods are for callers off that
+    loop and do their work on it.
     Stopping closes the listeners, every client connection, the device-leg
     pools and the relay's sessions, so peers read EOF, and cancels the
     requests still waiting for a device.
@@ -328,7 +304,7 @@ class Gateway(http11.LoopServer):
     def __init__(self, config: GatewayConfig):
         super().__init__({FAMILY_V4: config.listen_v4, FAMILY_V6: config.listen_v6})
         self.config = config
-        self.registry = DeviceRegistry()
+        self.devices: dict[str, DeviceRecord] = {}
         self.cache = ResponseCache(
             max_entries=config.cache_max_entries,
             max_bytes=config.cache_max_bytes,
@@ -351,7 +327,6 @@ class Gateway(http11.LoopServer):
                 connect_timeout=config.request_timeout_seconds,
             )
         self._prober: asyncio.Task | None = None
-        self._stats_lock = threading.Lock()
         self.requests_total = 0
         self.client_leg_bytes = 0
         self.device_leg_bytes = 0
@@ -387,8 +362,8 @@ class Gateway(http11.LoopServer):
 
     def close(self) -> None:
         super().close()
-        for record in self.registry.all():
-            self._count_pool("discarded", record.pool.close())
+        for record in self.devices.values():
+            self.pool_counts["discarded"] += record.pool.close()
         if self.relay is not None:
             self.relay.close()
 
@@ -420,12 +395,19 @@ class Gateway(http11.LoopServer):
         return record
 
     def register_device(self, record: DeviceRecord, replace: bool = False) -> None:
-        previous = self.registry.swap(record, replace=replace)
+        """Add a device; a taken id raises DuplicateDeviceError unless
+        ``replace``, which drops the old record's cache entries and pool."""
+        self.call(self._register, record, replace)
+
+    def _register(self, record: DeviceRecord, replace: bool) -> None:
+        previous = self.devices.get(record.device_id)
+        if previous is not None and not replace:
+            raise DuplicateDeviceError(record.device_id)
+        self.devices[record.device_id] = record
         if previous is not None:
             self.cache.invalidate_device(record.device_id)
             if previous is not record:
-                # the pool's connections belong to the loop thread
-                self._count_pool("discarded", self.call(previous.pool.close))
+                self.pool_counts["discarded"] += previous.pool.close()
         log.info("registered device id=%s endpoint=%s:%s family=%s",
                  record.device_id, record.host, record.port, record.family or "unknown")
 
@@ -435,19 +417,17 @@ class Gateway(http11.LoopServer):
         while True:
             await asyncio.sleep(self.config.probe_interval_seconds)
             now = time.monotonic()
-            for record in self.registry.all():
+            # a copy: a registration may add a device while a probe awaits
+            for record in list(self.devices.values()):
                 try:
                     await self._probe(record)
                 except Exception:
                     log.exception("probe failed for %s", record.device_id)
-                self._count_pool("discarded", record.pool.sweep(now))
+                self.pool_counts["discarded"] += record.pool.sweep(now)
 
     def probe_device(self, device_id: str) -> str:
         """Issue the device's health request and update its health state."""
-        record = self.registry.get(device_id)
-        if record is None:
-            raise KeyError(device_id)
-        return self.run(self._probe(record))
+        return self.run(self._probe(self.devices[device_id]))
 
     async def _probe(self, record: DeviceRecord) -> str:
         try:
@@ -555,15 +535,15 @@ class Gateway(http11.LoopServer):
         """
         leg, connect = await self._leg(record, listener_family)
         conn, discarded = record.pool.take(leg, time.monotonic())
-        self._count_pool("discarded", discarded)
+        self.pool_counts["discarded"] += discarded
         request = self._request_bytes(record, method, path, body)
         while True:
             reused = conn is not None
             if reused:
-                self._count_pool("reused")
+                self.pool_counts["reused"] += 1
             else:
                 conn = await connect()
-                self._count_pool("opened")
+                self.pool_counts["opened"] += 1
             try:
                 status, content_type, data, keep = await conn.exchange(
                     request, self.config.request_timeout_seconds, method
@@ -571,7 +551,7 @@ class Gateway(http11.LoopServer):
             except _Unanswered:
                 conn.close()
                 if reused and method in _RETRYABLE_METHODS:
-                    self._count_pool("discarded")
+                    self.pool_counts["discarded"] += 1
                     conn = None
                     continue
                 raise
@@ -585,9 +565,9 @@ class Gateway(http11.LoopServer):
                 conn.close()
             elif not conn.reusable():  # bytes past the reply: the stream is out of step
                 conn.close()
-                self._count_pool("discarded")
+                self.pool_counts["discarded"] += 1
             elif not record.pool.give(leg, conn, time.monotonic()):
-                self._count_pool("discarded")
+                self.pool_counts["discarded"] += 1
             return status, content_type, data
 
     @staticmethod
@@ -598,11 +578,6 @@ class Gateway(http11.LoopServer):
         elif method in _BODY_METHODS:
             head += "Content-Length: 0\r\n"
         return head.encode("latin-1") + b"\r\n" + body
-
-    def _count_pool(self, name: str, n: int = 1) -> None:
-        if n:
-            with self._stats_lock:
-                self.pool_counts[name] += n
 
     # -- the pipeline --
 
@@ -615,17 +590,19 @@ class Gateway(http11.LoopServer):
         headers,
         body: bytes,
     ) -> tuple[int, list[tuple[str, str]], bytes]:
-        """The pipeline for a caller off the loop: the front half runs on the
-        calling thread, a miss on the loop."""
-        reply = self._front(client_ip, listener_family, method, path, headers, body)
-        return reply if isinstance(reply, tuple) else self.run(reply)
+        """The pipeline for a caller off the loop, run on the loop."""
+
+        async def on_loop():
+            reply = self._front(client_ip, listener_family, method, path, headers, body)
+            return reply if isinstance(reply, tuple) else await reply
+
+        return self.run(on_loop())
 
     def _front(self, client_ip, listener_family, method, path, headers, body):
         """Guard, route, health, parse, key and cache lookup: the response,
         or a coroutine answering the miss on the loop."""
         now = time.monotonic()
-        with self._stats_lock:
-            self.requests_total += 1
+        self.requests_total += 1
 
         body_digest = codec.digest_bytes(body)
         request_digest = codec.digest_bytes(
@@ -644,7 +621,7 @@ class Gateway(http11.LoopServer):
         if len(parts) < 4 or parts[1] != "devices" or not parts[2]:
             return self._json_response(404, {"error": "not_found"})
         device_id, device_path = parts[2], "/" + parts[3]
-        record = self.registry.get(device_id)
+        record = self.devices.get(device_id)
         if record is None:
             return self._json_response(404, {"error": "unknown_device", "device": device_id})
 
@@ -732,8 +709,7 @@ class Gateway(http11.LoopServer):
                 device=record,
             )
         self._note_health(record, True)
-        with self._stats_lock:
-            self.device_leg_bytes += len(body_out) + len(raw)
+        self.device_leg_bytes += len(body_out) + len(raw)
 
         decoded = raw
         if raw:
@@ -775,8 +751,7 @@ class Gateway(http11.LoopServer):
         return status, headers, body
 
     def _device_response(self, record, status, body: bytes, cache_state: str, count_client: int = 0):
-        with self._stats_lock:
-            self.client_leg_bytes += count_client + len(body)
+        self.client_leg_bytes += count_client + len(body)
         headers = [
             ("Content-Type", "application/json"),
             ("X-WoT-Device", record.device_id),
@@ -789,7 +764,7 @@ class Gateway(http11.LoopServer):
     def admin_request(self, method: str, path: str, body: bytes):
         if method == "GET" and path == "/admin/devices":
             return self._json_response(
-                200, {"devices": [r.describe() for r in self.registry.all()]}
+                200, {"devices": [r.describe() for r in self.devices.values()]}
             )
         if method == "GET" and path == "/admin/stats":
             return self._json_response(200, self.stats())
@@ -799,38 +774,29 @@ class Gateway(http11.LoopServer):
                 return self._json_response(404, {"error": "not_found"})
             try:
                 doc = json.loads(body or b"{}")
-                cfg = DeviceConfig(
-                    device_id=device_id,
-                    endpoint=doc["endpoint"],
-                    mapping_file=doc.get("mapping_file"),
-                    mapping_inline=doc.get("mapping"),
-                    ttl_seconds=doc.get("ttl_seconds"),
-                    health_path=doc.get("health_path", "/status"),
-                )
+                cfg = device_config(device_id, doc)
                 self.register_device_config(cfg, replace=bool(doc.get("replace", False)))
             except DuplicateDeviceError:
                 return self._json_response(409, {"error": "duplicate_device", "device": device_id})
-            except (KeyError, TypeError, ValueError) as exc:
+            except (ValueError, OSError) as exc:  # ConfigError, bad JSON, an unreadable mapping file
                 return self._json_response(400, {"error": "bad_registration", "detail": str(exc)})
             return self._json_response(200, {"registered": device_id})
         return self._json_response(404, {"error": "not_found"})
 
     def stats(self) -> dict:
-        now = time.monotonic()
-        with self._stats_lock:
-            totals = {
-                "requests_total": self.requests_total,
-                "client_leg_bytes": self.client_leg_bytes,
-                "device_leg_bytes": self.device_leg_bytes,
-            }
-            pool = dict(self.pool_counts)
+        """The gateway's counters, taken on the loop."""
+        return self.call(self._stats)
+
+    def _stats(self) -> dict:
         return {
-            **totals,
+            "requests_total": self.requests_total,
+            "client_leg_bytes": self.client_leg_bytes,
+            "device_leg_bytes": self.device_leg_bytes,
             "cache": self.cache.stats(),
-            "guard": self.guard.stats(now),
+            "guard": self.guard.stats(time.monotonic()),
             "relay": self.relay.stats.snapshot() if self.relay else None,
-            "pool": pool,
-            "devices": {r.device_id: r.health for r in self.registry.all()},
+            "pool": dict(self.pool_counts),
+            "devices": {r.device_id: r.health for r in self.devices.values()},
         }
 
 
@@ -850,5 +816,8 @@ class _ClientLeg(http11.Connection):
     def respond(self, method, path, headers, body):
         gateway = self.server
         if path == "/admin" or path.startswith("/admin/"):
+            # registration points the gateway at any host and port
+            if not ipaddress.ip_address(self.client_ip).is_loopback:
+                return gateway._json_response(403, {"error": "forbidden"})
             return gateway.admin_request(method, path, body)
         return gateway._front(self.client_ip, self.family, method, path, headers, body)

@@ -18,7 +18,6 @@ drops the expired ones from the front once they make up half of it.
 
 from __future__ import annotations
 
-import threading
 from array import array
 from dataclasses import dataclass, field
 
@@ -69,7 +68,6 @@ class DosGuard:
         self.idle_purge_seconds = idle_purge_seconds
         self._next_purge = float("-inf")
         self._clients: dict[str, ClientRateState] = {}
-        self._lock = threading.Lock()
         self.blocked_total = 0
 
     def record_and_check(self, client_id: str, request_digest: str, now: float) -> GuardDecision:
@@ -79,62 +77,57 @@ class DosGuard:
         has expired the client's state is reset and the request is judged
         fresh.
         """
-        with self._lock:
-            if now >= self._next_purge:
-                self._purge_locked(now, self.idle_purge_seconds)
-                self._next_purge = now + self.idle_purge_seconds
-            st = self._clients.get(client_id)
-            if st is None:
-                st = self._clients[client_id] = ClientRateState()
-            st.last_seen = now
+        if now >= self._next_purge:
+            self.purge_idle(now, self.idle_purge_seconds)
+            self._next_purge = now + self.idle_purge_seconds
+        st = self._clients.get(client_id)
+        if st is None:
+            st = self._clients[client_id] = ClientRateState()
+        st.last_seen = now
 
-            if st.blocked_until is not None:
-                if now < st.blocked_until:
-                    self.blocked_total += 1
-                    return GuardDecision(False, REASON_STILL_BLOCKED, st.blocked_until - now)
-                st.blocked_until = None
-                del st.window[:]
-                st.head = 0
-                st.repeat_digest = None
-                st.repeat_count = 0
-
-            cutoff = now - self.window_seconds
-            window, head = st.window, st.head
-            while head < len(window) and window[head] < cutoff:
-                head += 1
-            if head > len(window) // 2:
-                del window[:head]
-                head = 0
-            st.head = head
-            window.append(now)
-
-            if len(window) - head > self.rate_limit:
-                st.blocked_until = now + self.block_seconds
+        if st.blocked_until is not None:
+            if now < st.blocked_until:
                 self.blocked_total += 1
-                return GuardDecision(False, REASON_RATE, self.block_seconds)
+                return GuardDecision(False, REASON_STILL_BLOCKED, st.blocked_until - now)
+            st.blocked_until = None
+            del st.window[:]
+            st.head = 0
+            st.repeat_digest = None
+            st.repeat_count = 0
 
-            # Consecutive-repeat counting restarts when the previous identical
-            # request has already slid out of the window.
-            if request_digest == st.repeat_digest and now - st.last_repeat_at <= self.window_seconds:
-                st.repeat_count += 1
-            else:
-                st.repeat_digest = request_digest
-                st.repeat_count = 1
-            st.last_repeat_at = now
+        cutoff = now - self.window_seconds
+        window, head = st.window, st.head
+        while head < len(window) and window[head] < cutoff:
+            head += 1
+        if head > len(window) // 2:
+            del window[:head]
+            head = 0
+        st.head = head
+        window.append(now)
 
-            if st.repeat_count > self.repeat_limit:
-                st.blocked_until = now + self.block_seconds
-                self.blocked_total += 1
-                return GuardDecision(False, REASON_REPEAT, self.block_seconds)
+        if len(window) - head > self.rate_limit:
+            st.blocked_until = now + self.block_seconds
+            self.blocked_total += 1
+            return GuardDecision(False, REASON_RATE, self.block_seconds)
 
-            return GuardDecision(True)
+        # Consecutive-repeat counting restarts when the previous identical
+        # request has already slid out of the window.
+        if request_digest == st.repeat_digest and now - st.last_repeat_at <= self.window_seconds:
+            st.repeat_count += 1
+        else:
+            st.repeat_digest = request_digest
+            st.repeat_count = 1
+        st.last_repeat_at = now
+
+        if st.repeat_count > self.repeat_limit:
+            st.blocked_until = now + self.block_seconds
+            self.blocked_total += 1
+            return GuardDecision(False, REASON_REPEAT, self.block_seconds)
+
+        return GuardDecision(True)
 
     def purge_idle(self, now: float, idle_horizon: float = DEFAULT_IDLE_PURGE_SECONDS) -> int:
         """Drop state for clients idle beyond the horizon and not under an active block."""
-        with self._lock:
-            return self._purge_locked(now, idle_horizon)
-
-    def _purge_locked(self, now: float, idle_horizon: float) -> int:
         doomed = [
             cid
             for cid, st in self._clients.items()
@@ -147,16 +140,14 @@ class DosGuard:
 
     @property
     def client_count(self) -> int:
-        with self._lock:
-            return len(self._clients)
+        return len(self._clients)
 
     def active_blocks(self, now: float) -> int:
-        with self._lock:
-            return sum(
-                1
-                for st in self._clients.values()
-                if st.blocked_until is not None and now < st.blocked_until
-            )
+        return sum(
+            1
+            for st in self._clients.values()
+            if st.blocked_until is not None and now < st.blocked_until
+        )
 
     def stats(self, now: float) -> dict:
         return {

@@ -346,6 +346,11 @@ class LoopServer:
     a daemon thread of the server's own and ``open`` on it; a start whose
     ``open`` raises stops everything before raising. A server can also be
     opened on a loop another server runs, as the gateway does its relay.
+
+    A server's state is written on its loop thread only, so it needs no
+    lock: a caller on another thread goes through ``run`` or ``call``,
+    which hand the work to the loop and wait for it. It may still read one
+    value directly, such as a counter or a registered device.
     """
 
     thread_name = "wotgw-loop"

@@ -17,10 +17,9 @@ import ipaddress
 import logging
 import socket
 import struct
-import threading
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from wotgw import FAMILY_V4, FAMILY_V6
@@ -301,17 +300,9 @@ class RelayStats:
     active_sessions: int = 0
     bytes_up: int = 0
     bytes_down: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock)
 
     def snapshot(self) -> dict:
-        with self.lock:
-            return {
-                "sessions_total": self.sessions_total,
-                "sessions_failed": self.sessions_failed,
-                "active_sessions": self.active_sessions,
-                "bytes_up": self.bytes_up,
-                "bytes_down": self.bytes_down,
-            }
+        return asdict(self)
 
 
 class _Pipe:
@@ -433,13 +424,13 @@ class _Pipe:
             if pipe is not None:
                 pipe.transport.close()
         stats = self.relay.stats
-        with stats.lock:
-            if self.relaying:
-                stats.active_sessions -= 1
-                stats.bytes_up += self.bytes_up
-                stats.bytes_down += self.bytes_down
-            else:
-                stats.sessions_failed += 1
+        if self.relaying:
+            # bytes first: a reader that sees the session ended sees its bytes
+            stats.bytes_up += self.bytes_up
+            stats.bytes_down += self.bytes_down
+            stats.active_sessions -= 1
+        else:
+            stats.sessions_failed += 1
 
 
 class SocksRelayServer(LoopServer):
@@ -498,9 +489,8 @@ class SocksRelayServer(LoopServer):
             return
         client.transport.write(encode_reply(REP_SUCCESS, transport.get_extra_info("sockname")[:2]))
         client.relaying = True
-        with self.stats.lock:
-            self.stats.sessions_total += 1
-            self.stats.active_sessions += 1
+        self.stats.sessions_total += 1
+        self.stats.active_sessions += 1
         client.peer, target.peer = target, client
         if client.data:  # bytes the client sent behind its CONNECT request
             client.data_received(bytes(client.data))

@@ -6,11 +6,19 @@ exception that escapes a callback or task on the event loop of the gateway,
 the relay or the device simulator reaches the loop's exception handler,
 which logs it. All of them log at ERROR under the ``wotgw`` logger, and
 every test fails if one did during it.
+
+Every event loop the tests build runs in asyncio's debug mode, which raises
+when a thread other than the loop's own schedules a callback on it: a
+server's state is written on its loop thread only (``http11.LoopServer``).
 """
 
 import logging
+import os
 
 import pytest
+
+# read when a loop is built, so set before any test builds one
+os.environ.setdefault("PYTHONASYNCIODEBUG", "1")
 
 
 class _Recorder(logging.Handler):

@@ -203,6 +203,22 @@ class TestDeviceValidation:
         cfg = config_from_dict(doc)
         assert cfg.devices[0].mapping_inline == {"aLongKey": "a"}
 
+    @pytest.mark.parametrize("field", [
+        {"endpoint": 5},
+        {"mapping": [1, 2]},
+        {"mapping": {"a": 1}},
+        {"mapping_file": 7},
+        {"ttl_seconds": "soon"},
+        {"ttl_seconds": -1},
+        {"ttl_seconds": float("nan")},
+        {"ttl_seconds": True},
+    ], ids=["endpoint-number", "mapping-list", "mapping-number-code", "mapping-file-number",
+            "ttl-word", "ttl-negative", "ttl-nan", "ttl-bool"])
+    def test_bad_device_field_fails_at_load(self, field):
+        entry = {"id": "d1", "endpoint": "127.0.0.1:1", **field}
+        with pytest.raises(ConfigError):
+            config_from_dict({"devices": [entry]})
+
     def test_devices_must_be_list(self):
         with pytest.raises(ConfigError):
             config_from_dict({"devices": {"id": "d1"}})

@@ -15,11 +15,10 @@ from wotgw import codec
 from wotgw.cache import CacheEntry, CacheKey
 from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, format_hostport, load_config
 from wotgw.device import DeviceSimulator
-from wotgw.http11 import http_date
+from wotgw.http11 import Headers, http_date
 from wotgw.socks import socks_connect
 from wotgw.gateway import (
     DeviceRecord,
-    DeviceRegistry,
     DuplicateDeviceError,
     POOL_IDLE_SECONDS,
     POOL_MAX_IDLE,
@@ -127,16 +126,17 @@ class TestRegistry:
         )
 
     def test_duplicate_rejected(self):
-        reg = DeviceRegistry()
-        reg.swap(self._record())
+        gw = Gateway(make_config([]))
+        gw.register_device(self._record())
         with pytest.raises(DuplicateDeviceError):
-            reg.swap(self._record())
+            gw.register_device(self._record())
 
-    def test_replace_reports_existing(self):
-        reg = DeviceRegistry()
-        first = self._record()
-        assert reg.swap(first) is None
-        assert reg.swap(self._record(), replace=True) is first
+    def test_replace_swaps_in_new_record(self):
+        gw = Gateway(make_config([]))
+        first, second = self._record(), self._record()
+        gw.register_device(first)
+        gw.register_device(second, replace=True)
+        assert gw.devices == {"d1": second}
 
     def test_replacement_invalidates_cached_responses(self, sim_v4):
         cfg = make_config([power_device(sim_v4)])
@@ -146,6 +146,33 @@ class TestRegistry:
             assert gw.cache.get(key, time.monotonic()) is not None
             gw.register_device_config(power_device(sim_v4), replace=True)
             assert gw.cache.get(key, time.monotonic()) is None
+
+
+class TestLoopOwnership:
+    def test_off_loop_entry_points_touch_state_on_the_loop(self, sim_v4):
+        with running(make_config([power_device(sim_v4)])) as gw:
+            calls = []
+
+            def record(obj, name):
+                method = getattr(obj, name)
+
+                def recorded(*args, **kwargs):
+                    calls.append((name, threading.get_ident()))
+                    return method(*args, **kwargs)
+
+                setattr(obj, name, recorded)
+
+            record(gw.guard, "record_and_check")
+            for name in ("get", "invalidate_device", "stats"):
+                record(gw.cache, name)
+            reply = gw.handle_client_request(
+                "127.0.0.1", "v4", "POST", "/devices/power/power", Headers(), QUERY_LONG
+            )
+            assert reply[0] == 200
+            gw.register_device_config(power_device(sim_v4), replace=True)
+            gw.stats()
+            assert {name for name, _ in calls} == {"record_and_check", "get", "invalidate_device", "stats"}
+            assert {ident for _, ident in calls} == {gw.thread.ident}
 
 
 class _IdleConn:
@@ -642,7 +669,7 @@ class TestHealthAndOutage:
                 assert codec.parse_json(body) == {
                     "status": "device_unavailable", "device": "power",
                 }
-            assert gw.registry.get("power").health == "down"
+            assert gw.devices["power"].health == "down"
 
             # while down, the gateway answers without touching the network
             status, _, _ = _request(addr, "GET", "/devices/power/power")
@@ -675,7 +702,7 @@ class TestHealthAndOutage:
             request_timeout_seconds=0.5,
         )
         with running(cfg) as gw:
-            record = gw.registry.get("power")
+            record = gw.devices["power"]
             assert _wait_for(lambda: record.health == "up")
             sim.stop()
             assert _wait_for(lambda: record.health == "down")
@@ -827,7 +854,7 @@ class TestDeviceLegPool:
                     t.join(timeout=30)
                 assert not any(t.is_alive() for t in threads)
                 pool = gw.stats()["pool"]
-                idle = [len(conns) for record in gw.registry.all()
+                idle = [len(conns) for record in gw.devices.values()
                         for conns in record.pool._idle.values()]
         finally:
             sys.setswitchinterval(switch)
@@ -847,7 +874,7 @@ class TestDeviceLegPool:
             addr = gw.listen_address("v4")
 
             def pooled_sockets():
-                return [conn.writer.get_extra_info("socket") for record in gw.registry.all()
+                return [conn.writer.get_extra_info("socket") for record in gw.devices.values()
                         for idle in record.pool._idle.values() for conn, _ in idle]
 
             def open_at_devices():
@@ -1102,6 +1129,43 @@ class TestAdmin:
             with pytest.raises(socket.timeout):
                 device.accept()  # nothing ever reached the device
 
+    @pytest.mark.parametrize("doc", [
+        {"endpoint": 5},
+        {"endpoint": "127.0.0.1:9", "mapping": [1, 2]},
+        {"endpoint": "127.0.0.1:9", "mapping": {"a": 1}},
+        {"endpoint": "127.0.0.1:9", "mapping_file": "/nonexistent"},
+        {"endpoint": "127.0.0.1:9", "ttl_seconds": "soon"},
+    ], ids=["endpoint-number", "mapping-list", "mapping-number-code", "mapping-file-missing", "ttl-word"])
+    def test_malformed_registration_refused(self, doc):
+        with running(make_config([])) as gw:
+            status, _, body = _request(gw.listen_address("v4"), "PUT", "/admin/devices/x",
+                                       json.dumps(doc).encode())
+            assert (status, codec.parse_json(body)["error"]) == (400, "bad_registration")
+            assert gw.devices == {}
+
+    def test_mapping_file_number_is_no_file_descriptor(self):
+        with running(make_config([])) as gw:
+            addr = gw.listen_address("v4")
+            listener_fd = gw._servers["v4"].sockets[0].fileno()
+            doc = {"endpoint": "127.0.0.1:9", "mapping_file": listener_fd}
+            status, _, body = _request(addr, "PUT", "/admin/devices/x", json.dumps(doc).encode())
+            assert (status, codec.parse_json(body)["error"]) == (400, "bad_registration")
+            assert _request(addr, "GET", "/admin/stats")[0] == 200  # the gateway still listens
+
+    def test_admin_only_from_loopback(self):
+        with running(make_config([])) as gw:
+            leg = gw.accept("v4")
+            leg.client_ip = "192.0.2.7"
+            assert leg.respond("GET", "/admin/stats", Headers(), b"") == (
+                403, [("Content-Type", "application/json")], b'{"error":"forbidden"}'
+            )
+            doc = json.dumps({"endpoint": "127.0.0.1:9"}).encode()
+            assert leg.respond("PUT", "/admin/devices/x", Headers(), doc)[0] == 403
+            assert gw.devices == {}
+            for loopback in ("127.0.0.1", "::1", _normalize_client_ip("::ffff:127.0.0.1")):
+                leg.client_ip = loopback
+                assert leg.respond("GET", "/admin/stats", Headers(), b"")[0] == 200
+
     def test_unknown_admin_path(self, sim_v4):
         cfg = make_config([power_device(sim_v4)])
         with running(cfg) as gw:
@@ -1335,7 +1399,7 @@ def _scripted_gateway(payload: bytes, close: bool = False):
 
 
 def _idle(gw) -> int:
-    return sum(len(idle) for record in gw.registry.all() for idle in record.pool._idle.values())
+    return sum(len(idle) for record in gw.devices.values() for idle in record.pool._idle.values())
 
 
 OK_BODY = b'{"status":"ok"}'
