@@ -8,7 +8,6 @@ bad registration fails at startup, not at first request.
 
 from __future__ import annotations
 
-import ipaddress
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,7 +15,7 @@ from pathlib import Path
 
 from wotgw import cache as cache_mod
 from wotgw import guard as guard_mod
-from wotgw.socks import FAMILY_V4, FAMILY_V6
+from wotgw.socks import literal_family
 
 
 class ConfigError(ValueError):
@@ -44,13 +43,7 @@ def parse_hostport(text: str) -> tuple[str, int, str | None]:
         raise ConfigError(f"bad port in {text!r}")
     if not 0 <= port <= 65535:
         raise ConfigError(f"port out of range in {text!r}")
-    family = None
-    try:
-        addr = ipaddress.ip_address(host)
-        family = FAMILY_V4 if addr.version == 4 else FAMILY_V6
-    except ValueError:
-        pass
-    return host, port, family
+    return host, port, literal_family(host)
 
 
 def format_hostport(host: str, port: int) -> str:
@@ -187,7 +180,10 @@ def _coerce(value: object, kind: type) -> object:
         if isinstance(value, str) and value.lower() in ("true", "false"):
             return value.lower() == "true"
         raise ConfigError(f"expected true/false, got {value!r}")
-    return kind(value)
+    value = kind(value)
+    if kind is not str and not 0 <= value < math.inf:  # NaN too
+        raise ConfigError(f"expected a finite number >= 0, got {value!r}")
+    return value
 
 
 def device_config(device_id: str, entry, base_dir: Path = Path(".")) -> DeviceConfig:
@@ -240,7 +236,7 @@ def _build(flat: dict, devices: list[dict], base_dir: Path) -> GatewayConfig:
             attr, kind = _SCALAR_KEYS[key]
             try:
                 setattr(cfg, attr, _coerce(value, kind))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for {key}: {exc}")
         else:
             raise ConfigError(f"unknown config key {key!r}")

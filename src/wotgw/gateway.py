@@ -2,19 +2,21 @@
 
 Client requests for /devices/{id}/... run the pipeline against registered
 devices. The coded (short-key) JSON form exists only on the gateway-device
-leg; clients always see long keys. When the client-facing listener's address
-family differs from the device's, forwarding goes through the SOCKS relay;
-matching families connect directly. Device-leg connections are persistent
-HTTP/1.1 and pooled per device and leg, so a relay tunnel carries many
-requests. Devices that stop answering are reported with a 503 outage body and
+leg; clients always see long keys. When the device has no address of the
+client-facing listener's family, the device leg crosses the embedded relay
+in process: the gateway dials the device's other-family address itself and
+counts a relay session. Matching families connect directly. Device-leg
+connections are persistent HTTP/1.1 and pooled per device and client
+family. Devices that stop answering are reported with a 503 outage body and
 probed back to health. Both legs speak HTTP/1.1 through the framer of
 ``wotgw.http11``, whose ``check_line`` and ``parse_head`` take every request
 and reply head.
 
 One event loop on one thread serves every socket of the gateway: client
-connections, pooled device-leg connections and the embedded relay's
-sessions. A cache hit is answered inside the client connection's
-``data_received``; a miss awaits its device connection on the same loop.
+connections, pooled device-leg connections and the embedded relay's SOCKS
+sessions with outside clients. A cache hit is answered inside the client
+connection's ``data_received``; a miss awaits its device connection on the
+same loop.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ HEALTH_DOWN = "down"
 
 # Idle keep-alive connections kept per device and leg; more are closed after use.
 POOL_MAX_IDLE = 2
-# An idle connection older than this is closed rather than reused; well below
-# the relay's idle timeout, so a pooled tunnel is never cut under a request.
+# An idle connection older than this is closed rather than reused: a device
+# may close an idle keep-alive connection at any time (RFC 9112 section 9.5),
+# and an old one is the likeliest to be cut under a request.
 POOL_IDLE_SECONDS = 10.0
 # Methods retried once on a fresh connection when a reused one dies before
 # answering (RFC 9112 section 9.3.1); never POST.
@@ -171,8 +174,7 @@ async def _read_reply(reader: asyncio.StreamReader, method: str) -> tuple[int, s
 
 
 class _Upstream:
-    """A device-leg connection, direct or through a relay tunnel, carrying
-    one exchange at a time."""
+    """A device-leg connection, carrying one exchange at a time."""
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         self.reader, self.writer = reader, writer
@@ -203,7 +205,8 @@ class _Upstream:
 
 
 class IdlePool:
-    """Idle keep-alive connections to one device, LIFO per leg, capped.
+    """Idle keep-alive connections to one device, LIFO per client family
+    (the leg), capped.
 
     Used on the loop thread only. ``take`` returns None when no reusable
     idle connection is left and the caller opens a new one. Once closed,
@@ -211,10 +214,10 @@ class IdlePool:
     """
 
     def __init__(self):
-        self._idle: dict[tuple, list[tuple[_Upstream, float]]] = {}
+        self._idle: dict[str | None, list[tuple[_Upstream, float]]] = {}
         self._closed = False
 
-    def take(self, leg: tuple, now: float) -> tuple[_Upstream | None, int]:
+    def take(self, leg: str | None, now: float) -> tuple[_Upstream | None, int]:
         """Pop a reusable idle connection; also returns how many unfit ones were closed."""
         idle = self._idle.get(leg)
         discarded = 0
@@ -226,7 +229,7 @@ class IdlePool:
             discarded += 1
         return None, discarded
 
-    def give(self, leg: tuple, conn: _Upstream, now: float) -> bool:
+    def give(self, leg: str | None, conn: _Upstream, now: float) -> bool:
         """Keep ``conn`` for reuse, or close it when the pool is full or closed."""
         idle = self._idle.setdefault(leg, [])
         if not self._closed and len(idle) < POOL_MAX_IDLE:
@@ -360,12 +363,12 @@ class Gateway(http11.LoopServer):
         if self.config.probe_interval_seconds > 0:
             self._prober = self.loop.create_task(self._probe_loop())
 
-    def close(self) -> None:
-        super().close()
+    async def close(self) -> None:
+        await super().close()
         for record in self.devices.values():
             self.pool_counts["discarded"] += record.pool.close()
         if self.relay is not None:
-            self.relay.close()
+            await self.relay.close()
 
     # -- registration --
 
@@ -456,62 +459,47 @@ class Gateway(http11.LoopServer):
     # -- forwarding --
 
     async def _candidates(self, record: DeviceRecord) -> list[Candidate]:
-        if record.family is not None:
-            return [Candidate(record.family, record.host, record.port)]
+        """The device's addresses: its literal one, or what the resolver
+        gives for its name now."""
         try:
             candidates = await socks.resolve(
                 socks.SocksConnectRequest("domain", record.host, record.port), self.resolver
             )
         except SocksError as exc:
-            raise DeviceUnavailable(str(exc))
-        record.family = candidates[0].family if len({c.family for c in candidates}) == 1 else record.family
+            raise DeviceUnavailable(str(exc)) from None
+        if len({c.family for c in candidates}) == 1:
+            record.family = candidates[0].family
         return candidates
 
-    @staticmethod
-    async def _connect(addresses: list[tuple[str, int]], timeout: float) -> _Upstream:
-        last: Exception = DeviceUnavailable("no candidates")
-        for host, port in addresses:
-            try:
-                connecting = asyncio.open_connection(host, port, limit=http11.MAX_LINE)
-                return _Upstream(*await asyncio.wait_for(connecting, timeout))
-            except (OSError, asyncio.TimeoutError) as exc:
-                last = exc
-        raise DeviceUnavailable(f"connect failed: {last!r}")
+    async def _leg(self, record: DeviceRecord, listener_family: str | None) -> _Upstream:
+        """A new connection to the device.
 
-    async def _leg(self, record: DeviceRecord, listener_family: str | None):
-        """The pool key of the device leg and a coroutine function opening a
-        new connection.
-
-        Candidates of the listener's family (any family when it is None, as
-        for health probes) are reached directly; otherwise through the relay.
+        The device's addresses of the listener's family (any family when it
+        is None, as for health probes) are dialled directly. With none, the
+        leg crosses the relay in process: the gateway dials the others
+        itself and counts a relay session, one that sends no SOCKS bytes.
         """
         candidates = await self._candidates(record)
-        timeout = self.config.request_timeout_seconds
-        direct = [(c.address, c.port) for c in candidates if listener_family in (None, c.family)]
-        if direct:
-            return ("direct", listener_family), lambda: self._connect(direct, timeout)
-        if self.relay is None:
+        direct = [c for c in candidates if listener_family in (None, c.family)]
+        relay = None if direct else self.relay
+        if not direct and relay is None:
             raise DeviceUnavailable(
                 f"device {record.device_id} is {candidates[0].family}-only, "
                 f"client leg is {listener_family}, and the relay is disabled"
             )
-        listening = self.relay.listen_address
-        relay_addr = listening(listener_family) or listening(FAMILY_V4) or listening(FAMILY_V6)
-
-        async def tunnel() -> _Upstream:
-            conn = await self._connect([relay_addr], timeout)
-            # the CONNECT request goes right behind the greeting
-            conn.writer.write(socks.GREETING + socks.build_connect_request(record.host, record.port))
-            try:
-                await asyncio.wait_for(socks.read_tunnel_reply(conn.reader), timeout)
-            except BaseException as exc:
-                conn.close()
-                if isinstance(exc, (SocksError, EOFError, OSError, asyncio.TimeoutError)):
-                    raise DeviceUnavailable(f"relay connect failed: {exc!r}") from None
-                raise
-            return conn
-
-        return ("relay", relay_addr), tunnel
+        try:
+            streams = await socks.dial(
+                direct or candidates,
+                self.config.request_timeout_seconds,
+                lambda c: asyncio.open_connection(c.address, c.port, limit=http11.MAX_LINE),
+            )
+        except SocksError as exc:
+            if relay is not None:
+                relay.stats.sessions_failed += 1
+            raise DeviceUnavailable(f"connect failed: {exc}") from None
+        if relay is not None:
+            relay.stats.sessions_total += 1
+        return _Upstream(*streams)
 
     def forward_to_device(
         self,
@@ -525,16 +513,15 @@ class Gateway(http11.LoopServer):
         return self.run(self._forward(record, method, path, body, listener_family))
 
     async def _forward(self, record, method, path, body, listener_family) -> tuple[int, str, bytes]:
-        """Send the coded request to the device, directly or through the relay.
+        """Send the coded request to the device, directly or across the relay.
 
-        Uses a pooled keep-alive connection of the leg when a live one is
-        idle. A GET or HEAD whose reused connection dies before any response
+        Uses a pooled keep-alive connection of the client's family when a
+        live one is idle, or opens one (``_leg``). A GET or HEAD whose reused connection dies before any response
         byte is sent once more on a new connection. Returns (status,
         content_type, body). Raises DeviceTimeout, DeviceUnavailable, or
         DeviceProtocolError.
         """
-        leg, connect = await self._leg(record, listener_family)
-        conn, discarded = record.pool.take(leg, time.monotonic())
+        conn, discarded = record.pool.take(listener_family, time.monotonic())
         self.pool_counts["discarded"] += discarded
         request = self._request_bytes(record, method, path, body)
         while True:
@@ -542,7 +529,7 @@ class Gateway(http11.LoopServer):
             if reused:
                 self.pool_counts["reused"] += 1
             else:
-                conn = await connect()
+                conn = await self._leg(record, listener_family)
                 self.pool_counts["opened"] += 1
             try:
                 status, content_type, data, keep = await conn.exchange(
@@ -566,7 +553,7 @@ class Gateway(http11.LoopServer):
             elif not conn.reusable():  # bytes past the reply: the stream is out of step
                 conn.close()
                 self.pool_counts["discarded"] += 1
-            elif not record.pool.give(leg, conn, time.monotonic()):
+            elif not record.pool.give(listener_family, conn, time.monotonic()):
                 self.pool_counts["discarded"] += 1
             return status, content_type, data
 

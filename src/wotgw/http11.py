@@ -380,8 +380,18 @@ class LoopServer:
             )
             log.info("%s listening family=%s addr=%s", self.thread_name, family, self.listen_address(family))
 
-    def close(self) -> None:
-        """Close the listeners and every connection."""
+    async def close(self) -> None:
+        """Close the listeners and every connection. The listeners stop
+        accepting first and close a few loop turns later: asyncio cannot
+        attach to a closed listener the transport of a connection accepted
+        just before."""
+        import asyncio
+
+        for server in self._servers.values():
+            for sock in server.sockets:
+                self.loop.remove_reader(sock.fileno())
+        for _ in range(3):  # an accept already queued, its transport, connection_made
+            await asyncio.sleep(0)
         for server in self._servers.values():
             server.close()
         self._servers.clear()
@@ -441,7 +451,7 @@ class LoopServer:
     async def _drain(self) -> None:
         import asyncio
 
-        self.close()
+        await self.close()
         await asyncio.sleep(0)  # lets the closed transports call connection_lost
         tasks = asyncio.all_tasks() - {asyncio.current_task()}
         for task in tasks:

@@ -42,8 +42,6 @@ ATYP_IPV6 = 0x04
 
 METHOD_NO_AUTH = 0x00
 METHOD_NO_ACCEPTABLE = 0xFF
-# A client greeting that offers no authentication only.
-GREETING = bytes((SOCKS_VERSION, 1, METHOD_NO_AUTH))
 
 REP_SUCCESS = 0x00
 REP_GENERAL_FAILURE = 0x01
@@ -110,15 +108,6 @@ def message_length(data: bytes) -> int | None:
     if atyp == ATYP_DOMAIN:
         return 7 + data[4] if len(data) > 4 else None
     raise SocksError(f"address type {atyp} not supported", REP_ADDRESS_TYPE_NOT_SUPPORTED)
-
-
-def check_reply(reply: bytes) -> bytes:
-    """A relay's reply to CONNECT; raises SocksReplyError for a failure reply."""
-    if reply[0] != SOCKS_VERSION:
-        raise SocksError("bad reply version")
-    if reply[1] != REP_SUCCESS:
-        raise SocksReplyError(f"relay reply code {reply[1]}", reply[1])
-    return reply
 
 
 def negotiate(greeting: bytes) -> bytes:
@@ -238,6 +227,14 @@ def load_static_table(text: str) -> dict:
     return table
 
 
+def literal_family(host: str) -> str | None:
+    """The family of a literal address; None for a name."""
+    try:
+        return FAMILY_V4 if ipaddress.ip_address(host).version == 4 else FAMILY_V6
+    except ValueError:
+        return None
+
+
 def resolve_target(request: SocksConnectRequest, policy: ResolverPolicy) -> list[Candidate]:
     """Candidate addresses for a CONNECT target, ordered by family preference.
 
@@ -245,14 +242,8 @@ def resolve_target(request: SocksConnectRequest, policy: ResolverPolicy) -> list
     policy's table or the system resolver. The result may contain a family
     different from the client side's — that is the gatewaying case.
     """
-    if request.address_type in (FAMILY_V4, FAMILY_V6):
-        return [Candidate(request.address_type, request.address, request.port)]
-    try:
-        literal = ipaddress.ip_address(request.address)
-    except ValueError:
-        pass
-    else:
-        family = FAMILY_V4 if literal.version == 4 else FAMILY_V6
+    family = request.address_type if request.address_type != "domain" else literal_family(request.address)
+    if family is not None:
         return [Candidate(family, request.address, request.port)]
 
     if policy.static_table is not None:
@@ -285,9 +276,33 @@ async def resolve(request: SocksConnectRequest, policy: ResolverPolicy) -> list[
     system resolver is looked up on the loop's executor."""
     import asyncio
 
-    if request.address_type == "domain" and policy.static_table is None:
+    if request.address_type == "domain" and policy.static_table is None and not literal_family(request.address):
         return await asyncio.get_running_loop().run_in_executor(None, resolve_target, request, policy)
     return resolve_target(request, policy)
+
+
+async def dial(candidates: list[Candidate], timeout: float, connect):
+    """What ``connect(candidate)`` returns for the first candidate that
+    connects, trying them in order, each for ``timeout`` seconds.
+
+    When none connects, raises SocksError with the reply of the last
+    failure: 0x05 for a refusal, 0x04 for a timeout or no candidates, 0x03
+    for an unreachable network or host, 0x01 for any other OSError.
+    """
+    import asyncio
+
+    code = REP_HOST_UNREACHABLE
+    for candidate in candidates:
+        try:
+            return await asyncio.wait_for(connect(candidate), timeout)
+        except ConnectionRefusedError:
+            code = REP_CONNECTION_REFUSED
+        except asyncio.TimeoutError:  # not an OSError before Python 3.11
+            code = REP_HOST_UNREACHABLE
+        except OSError as exc:
+            unreachable = exc.errno in (errno.ENETUNREACH, errno.EHOSTUNREACH)
+            code = REP_NETWORK_UNREACHABLE if unreachable else REP_GENERAL_FAILURE
+    raise SocksError("all candidates unreachable" if candidates else "no candidates", code)
 
 
 # --- sessions and the relay server ---------------------------------------------
@@ -463,27 +478,14 @@ class SocksRelayServer(LoopServer):
 
         The two connections then relay until each direction reaches
         end-of-stream (half-close propagated) or either side fails, and close
-        together. On failure a SocksError carries the RFC failure reply.
+        together. On failure a SocksError carries the RFC failure reply; see
+        ``dial``.
         """
-        import asyncio
-
-        if not candidates:
-            raise SocksError("no candidates", REP_HOST_UNREACHABLE)
-        last_code = REP_HOST_UNREACHABLE
-        for cand in candidates:
-            try:
-                connecting = self.loop.create_connection(lambda: _Pipe(self, client), cand.address, cand.port)
-                transport, target = await asyncio.wait_for(connecting, self.connect_timeout)
-                break
-            except ConnectionRefusedError:
-                last_code = REP_CONNECTION_REFUSED
-            except asyncio.TimeoutError:  # not an OSError before Python 3.11
-                last_code = REP_HOST_UNREACHABLE
-            except OSError as exc:
-                unreachable = exc.errno in (errno.ENETUNREACH, errno.EHOSTUNREACH)
-                last_code = REP_NETWORK_UNREACHABLE if unreachable else REP_GENERAL_FAILURE
-        else:
-            raise SocksError("all candidates unreachable", last_code)
+        transport, target = await dial(
+            candidates,
+            self.connect_timeout,
+            lambda c: self.loop.create_connection(lambda: _Pipe(self, client), c.address, c.port),
+        )
         if client.ended:  # the client left while the target was dialled
             transport.close()
             return
@@ -512,25 +514,19 @@ def socks_connect(
     sock = socket.create_connection(relay_addr, timeout=timeout)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     try:
-        sock.sendall(GREETING)
+        sock.sendall(bytes((SOCKS_VERSION, 1, METHOD_NO_AUTH)))
         resp = _recv_exact(sock, 2)
         if resp[0] != SOCKS_VERSION or resp[1] != METHOD_NO_AUTH:
             raise SocksError("relay refused the no-auth method")
         sock.sendall(build_connect_request(target_host, target_port))
         reply = _recv_exact(sock, 5)
-        check_reply(reply + _recv_exact(sock, message_length(reply) - len(reply)))
+        reply += _recv_exact(sock, message_length(reply) - len(reply))
+        if reply[0] != SOCKS_VERSION:
+            raise SocksError("bad reply version")
+        if reply[1] != REP_SUCCESS:
+            raise SocksReplyError(f"relay reply code {reply[1]}", reply[1])
         return sock
     except BaseException:
         sock.close()
         raise
 
-
-async def read_tunnel_reply(reader: asyncio.StreamReader) -> bytes:
-    """Read a relay's answers to GREETING and to the CONNECT request sent
-    right behind it; returns the CONNECT reply. Raises SocksError for a
-    refusal and EOFError when the relay closes first."""
-    hello = await reader.readexactly(7)  # the method choice and the reply's first bytes
-    if hello[:2] != bytes((SOCKS_VERSION, METHOD_NO_AUTH)):
-        raise SocksError("relay refused the no-auth method")
-    reply = hello[2:]
-    return check_reply(reply + await reader.readexactly(message_length(reply) - len(reply)))

@@ -135,6 +135,20 @@ class TestJsonFormat:
             config_from_dict({"cache": {"max_entries": "lots"}})
         assert "cache.max_entries" in str(err.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("cache.default_ttl_seconds", "nan"),
+        ("cache.max_entries", -5),
+        ("dos.window_seconds", "-inf"),
+        ("gateway.request_timeout_seconds", float("inf")),
+        ("dos.rate_limit", float("inf")),
+        ("cache.max_bytes", "-1"),
+    ], ids=["ttl-nan", "entries-negative", "window-minus-inf", "timeout-inf",
+            "rate-int-inf", "bytes-negative-text"])
+    def test_number_out_of_range_reports_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({key: value})
+        assert key in str(err.value)
+
 
 class TestLineFormat:
     def test_sections_and_devices(self, tmp_path):

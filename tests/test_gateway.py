@@ -301,6 +301,26 @@ class TestEndToEnd:
             _request(addr, "GET", "/devices/six/status")
             assert _wait_for(lambda: gw.relay.stats.snapshot()["sessions_total"] == 1)
 
+    def test_cross_family_miss_crosses_the_relay_in_process(self, sim_v6):
+        cfg = make_config([power_device(sim_v6)], cache_enabled=False)
+        with running(cfg) as gw:
+            status, _, body = _request(gw.listen_address("v4"), "POST", "/devices/power/power", QUERY_LONG)
+            assert (status, body) == (200, TWO_DEVICE_LONG)
+            assert _idle(gw) == 1  # the relay leg's connection, pooled and live
+            assert len(sim_v6._connections) == 1
+            assert gw.relay._connections == set()  # no SOCKS session with the gateway's own relay
+            relay = gw.relay.stats.snapshot()
+            assert (relay["sessions_total"], relay["sessions_failed"], relay["active_sessions"]) == (1, 0, 0)
+
+    def test_refused_relay_leg_is_an_outage_and_a_failed_session(self):
+        [port] = _free_ports("::1", 1)
+        device = DeviceConfig(device_id="power", endpoint=f"[::1]:{port}", mapping_inline=dict(POWER_MAP))
+        with running(make_config([device])) as gw:
+            status, _, body = _request(gw.listen_address("v4"), "GET", "/devices/power/status")
+            assert (status, codec.parse_json(body)) == (503, {"status": "device_unavailable", "device": "power"})
+            relay = gw.relay.stats.snapshot()
+            assert (relay["sessions_total"], relay["sessions_failed"]) == (0, 1)
+
     def test_relay_disabled_cross_family_fails(self, sim_v6):
         cfg = make_config([power_device(sim_v6)], relay_enabled=False)
         with running(cfg) as gw:
@@ -723,6 +743,24 @@ class TestHealthAndOutage:
             status, _, body = _request(gw.listen_address("v4"), "GET", "/devices/power/status")
             assert (status, codec.parse_json(body)) == (503, {"status": "device_unavailable", "device": "power"})
             assert gw.probe_device("power") == "down"
+
+    def test_named_device_is_dialled_at_the_address_its_table_gives(self, tmp_path):
+        # the system resolver knows this name as 127.0.0.1, where nothing
+        # listens; the gateway's static table says 127.0.0.2
+        sim = DeviceSimulator(bind=("127.0.0.2", 0), power_save_idle=0.0).start()
+        table = tmp_path / "hosts"
+        table.write_text("localhost v4 127.0.0.2\n")
+        device = DeviceConfig(device_id="power", endpoint=f"localhost:{sim.address[1]}",
+                              mapping_inline=dict(POWER_MAP))
+        cfg = make_config([device], socks_resolver=f"static:{table}", cache_enabled=False)
+        try:
+            with running(cfg) as gw:
+                assert [gw.probe_device("power") for _ in range(2)] == ["up", "up"]
+                for family in ("v6", "v4"):  # across the relay, then directly
+                    status, _, body = _request(gw.listen_address(family), "GET", "/devices/power/status")
+                    assert (family, status, body) == (family, 200, b'{"status":"ok"}')
+        finally:
+            sim.stop()
 
     def test_timeout_maps_to_504(self, sim_v4):
         sim_v4.inject_behavior(latency=1.0)
@@ -1574,3 +1612,19 @@ class TestLifecycle:
             with socket.socket(family) as probe:
                 probe.bind(addr)  # EADDRINUSE while a listener is left open
         assert _wait_for(lambda: threading.active_count() == baseline)
+
+    def test_stop_right_after_connects_closes_every_accepted_socket(self):
+        # connections the kernel accepted just before stop() get their
+        # transports only afterwards; each must be attached and closed
+        for _ in range(15):
+            gw = Gateway(make_config([])).start()
+            addresses = [gw.listen_address("v4"), gw.listen_address("v6"),
+                         gw.relay.listen_address("v4"), gw.relay.listen_address("v6")]
+            socks = [socket.create_connection(addr, timeout=5.0) for addr in addresses for _ in range(2)]
+            try:
+                gw.stop()
+                for sock in socks:
+                    assert sock.recv(1) == b""  # EOF: the gateway closed its end
+            finally:
+                for sock in socks:
+                    sock.close()

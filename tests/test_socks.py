@@ -350,6 +350,16 @@ class TestLiveRelay:
             sock.close()
         assert hashlib.sha256(echoed).hexdigest() == hashlib.sha256(payload).hexdigest()
 
+    def test_bytes_sent_behind_the_connect_request_are_relayed(self, relay, echo_v4):
+        with socket.create_connection(relay.listen_address("v4"), timeout=2.0) as sock:
+            # greeting, CONNECT and payload in one segment, without waiting for a reply
+            sock.sendall(b"\x05\x01\x00" + build_connect_request(*echo_v4.address) + b"early")
+            sock.shutdown(socket.SHUT_WR)
+            data = _recv_all(sock)
+        assert data[:2] == bytes((SOCKS_VERSION, 0x00))
+        assert data[2:4] == bytes((SOCKS_VERSION, REP_SUCCESS))
+        assert data[12:] == b"early"  # after the 10-byte IPv4 reply
+
     def test_connection_refused_reply(self, relay):
         with pytest.raises(SocksReplyError) as err:
             socks_connect(relay.listen_address("v4"), "127.0.0.1", _unused_port(), timeout=2.0)
