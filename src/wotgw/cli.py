@@ -72,9 +72,8 @@ def _cmd_gateway(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"wotgw: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    gateway = Gateway(config)
     try:
-        gateway.start()
+        gateway = Gateway(config).start()
     except OSError as exc:
         if exc.errno in (errno.EADDRINUSE, errno.EACCES):
             addr = _blamed_address(config)

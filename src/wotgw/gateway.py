@@ -6,11 +6,11 @@ leg; clients always see long keys. When the device has no address of the
 client-facing listener's family, the device leg crosses the embedded relay
 in process: the gateway dials the device's other-family address itself and
 counts a relay session. Matching families connect directly. Device-leg
-connections are persistent HTTP/1.1 and pooled per device and client
-family. Devices that stop answering are reported with a 503 outage body and
-probed back to health. Both legs speak HTTP/1.1 through the framer of
-``wotgw.http11``, whose ``check_line`` and ``parse_head`` take every request
-and reply head.
+connections are persistent HTTP/1.1 and pooled per device: an idle one
+serves the next request whatever its client's family. Devices that stop
+answering are reported with a 503 outage body and probed back to health.
+Both legs speak HTTP/1.1 through the framer of ``wotgw.http11``, whose
+``check_line`` and ``parse_head`` take every request and reply head.
 
 One event loop on one thread serves every socket of the gateway: client
 connections, pooled device-leg connections and the embedded relay's SOCKS
@@ -43,7 +43,7 @@ HEALTH_UNKNOWN = "unknown"
 HEALTH_UP = "up"
 HEALTH_DOWN = "down"
 
-# Idle keep-alive connections kept per device and leg; more are closed after use.
+# Idle keep-alive connections kept per device; more are closed after use.
 POOL_MAX_IDLE = 2
 # An idle connection older than this is closed rather than reused: a device
 # may close an idle keep-alive connection at any time (RFC 9112 section 9.5),
@@ -103,17 +103,20 @@ async def _read_head(reader: asyncio.StreamReader) -> tuple[str, http11.Headers]
 
 async def _read_chunked(reader: asyncio.StreamReader) -> bytes:
     """A chunked body (RFC 9112 section 7.1); trailer fields are dropped."""
-    parts = []
+    parts, total = [], 0
     while True:
         line = await _line(reader)
         if not line:
             raise EOFError("device closed inside a chunked body")
         size = line.partition(b";")[0].strip()
-        if not size or len(size) > 15 or size.strip(b"0123456789abcdefABCDEF"):
+        if not size or size.strip(b"0123456789abcdefABCDEF"):
             raise http11.FramingError(502, "bad chunk size")
         n = int(size, 16)
         if n == 0:
             break
+        total += n
+        if total > http11.MAX_BODY_BYTES:
+            raise http11.FramingError(502, "body_too_large")
         parts.append(await reader.readexactly(n))
         if await reader.readexactly(2) != b"\r\n":
             raise http11.FramingError(502, "chunk not followed by CRLF")
@@ -127,7 +130,8 @@ async def _read_reply(reader: asyncio.StreamReader, method: str) -> tuple[int, s
     """Read one device reply: (status, content type, body, reusable).
 
     1xx interim replies are skipped. A reply ends at its Content-Length, at
-    its last chunk, or at EOF. The connection is reusable only after an
+    its last chunk, or at EOF, and its body may hold at most
+    http11.MAX_BODY_BYTES. The connection is reusable only after an
     HTTP/1.1 reply framed by length or chunks and without Connection: close.
     Raises _Unanswered when the connection ends before the reply's first byte.
     """
@@ -165,11 +169,14 @@ async def _read_reply(reader: asyncio.StreamReader, method: str) -> tuple[int, s
         data = await _read_chunked(reader)
         keep = keep and length is None  # both framings: RFC 9112 section 6.1 says close
     elif encoding is None and length is not None:
-        if not (length.isascii() and length.isdigit()) or len(length) > 15:
-            raise http11.FramingError(502, f"bad Content-Length {length[:80]!r}")
-        data = await reader.readexactly(int(length))
-    else:
-        data, keep = await reader.read(), False
+        data = await reader.readexactly(http11.body_length(length))
+    else:  # to EOF, which must come within the cap
+        try:
+            await reader.readexactly(http11.MAX_BODY_BYTES + 1)
+        except asyncio.IncompleteReadError as exc:
+            data, keep = exc.partial, False
+        else:
+            raise http11.FramingError(502, "body_too_large")
     return status, headers.get("content-type", "application/json"), data, keep
 
 
@@ -205,8 +212,7 @@ class _Upstream:
 
 
 class IdlePool:
-    """Idle keep-alive connections to one device, LIFO per client family
-    (the leg), capped.
+    """Idle keep-alive connections to one device, LIFO, capped.
 
     Used on the loop thread only. ``take`` returns None when no reusable
     idle connection is left and the caller opens a new one. Once closed,
@@ -214,26 +220,24 @@ class IdlePool:
     """
 
     def __init__(self):
-        self._idle: dict[str | None, list[tuple[_Upstream, float]]] = {}
+        self._idle: list[tuple[_Upstream, float]] = []
         self._closed = False
 
-    def take(self, leg: str | None, now: float) -> tuple[_Upstream | None, int]:
+    def take(self, now: float) -> tuple[_Upstream | None, int]:
         """Pop a reusable idle connection; also returns how many unfit ones were closed."""
-        idle = self._idle.get(leg)
         discarded = 0
-        while idle:
-            conn, since = idle.pop()
+        while self._idle:
+            conn, since = self._idle.pop()
             if now - since <= POOL_IDLE_SECONDS and conn.reusable():
                 return conn, discarded
             conn.close()
             discarded += 1
         return None, discarded
 
-    def give(self, leg: str | None, conn: _Upstream, now: float) -> bool:
+    def give(self, conn: _Upstream, now: float) -> bool:
         """Keep ``conn`` for reuse, or close it when the pool is full or closed."""
-        idle = self._idle.setdefault(leg, [])
-        if not self._closed and len(idle) < POOL_MAX_IDLE:
-            idle.append((conn, now))
+        if not self._closed and len(self._idle) < POOL_MAX_IDLE:
+            self._idle.append((conn, now))
             return True
         conn.close()
         return False
@@ -248,9 +252,8 @@ class IdlePool:
         return self._drop(lambda since: True)
 
     def _drop(self, expired) -> int:
-        dropped = [conn for idle in self._idle.values() for conn, since in idle if expired(since)]
-        for idle in self._idle.values():
-            idle[:] = [(conn, since) for conn, since in idle if not expired(since)]
+        dropped = [conn for conn, since in self._idle if expired(since)]
+        self._idle = [(conn, since) for conn, since in self._idle if not expired(since)]
         for conn in dropped:
             conn.close()
         return len(dropped)
@@ -320,13 +323,13 @@ class Gateway(http11.LoopServer):
             block_seconds=config.dos_block_seconds,
             idle_purge_seconds=config.dos_idle_purge_seconds,
         )
-        self.resolver = self._build_resolver(config.socks_resolver)
+        self.static_table = self._static_table(config.socks_resolver)
         self.relay: socks.SocksRelayServer | None = None
         if config.relay_enabled:
             self.relay = socks.SocksRelayServer(
                 listen_v4=config.socks_listen_v4,
                 listen_v6=config.socks_listen_v6,
-                resolver=self.resolver,
+                static_table=self.static_table,
                 connect_timeout=config.request_timeout_seconds,
             )
         self._prober: asyncio.Task | None = None
@@ -337,12 +340,15 @@ class Gateway(http11.LoopServer):
         self._inflight: dict[CacheKey, asyncio.Future] = {}
 
     @staticmethod
-    def _build_resolver(spec: str) -> socks.ResolverPolicy:
+    def _static_table(spec: str) -> dict | None:
+        """The table a ``static:<path>`` resolver names; None for the system resolver."""
         if spec == "system":
-            return socks.ResolverPolicy()
-        path = spec.split(":", 1)[1]
-        with open(path, encoding="utf-8") as fh:
-            return socks.ResolverPolicy(static_table=socks.load_static_table(fh.read()))
+            return None
+        try:
+            with open(spec.split(":", 1)[1], encoding="utf-8") as fh:
+                return socks.load_static_table(fh.read())
+        except (OSError, ValueError) as exc:  # ValueError: a malformed line or undecodable bytes
+            raise ConfigError(f"socks.resolver {spec!r}: {exc}") from None
 
     # -- lifecycle --
 
@@ -462,9 +468,7 @@ class Gateway(http11.LoopServer):
         """The device's addresses: its literal one, or what the resolver
         gives for its name now."""
         try:
-            candidates = await socks.resolve(
-                socks.SocksConnectRequest("domain", record.host, record.port), self.resolver
-            )
+            candidates = await socks.resolve(record.host, record.port, self.static_table)
         except SocksError as exc:
             raise DeviceUnavailable(str(exc)) from None
         if len({c.family for c in candidates}) == 1:
@@ -515,13 +519,14 @@ class Gateway(http11.LoopServer):
     async def _forward(self, record, method, path, body, listener_family) -> tuple[int, str, bytes]:
         """Send the coded request to the device, directly or across the relay.
 
-        Uses a pooled keep-alive connection of the client's family when a
-        live one is idle, or opens one (``_leg``). A GET or HEAD whose reused connection dies before any response
-        byte is sent once more on a new connection. Returns (status,
-        content_type, body). Raises DeviceTimeout, DeviceUnavailable, or
+        Uses the device's pooled keep-alive connection when a live one is
+        idle, whatever the client's family, or opens one (``_leg``). A GET
+        or HEAD whose reused connection dies before any response byte is
+        sent once more on a new connection. Returns (status, content_type,
+        body). Raises DeviceTimeout, DeviceUnavailable, or
         DeviceProtocolError.
         """
-        conn, discarded = record.pool.take(listener_family, time.monotonic())
+        conn, discarded = record.pool.take(time.monotonic())
         self.pool_counts["discarded"] += discarded
         request = self._request_bytes(record, method, path, body)
         while True:
@@ -553,7 +558,7 @@ class Gateway(http11.LoopServer):
             elif not conn.reusable():  # bytes past the reply: the stream is out of step
                 conn.close()
                 self.pool_counts["discarded"] += 1
-            elif not record.pool.give(listener_family, conn, time.monotonic()):
+            elif not record.pool.give(conn, time.monotonic()):
                 self.pool_counts["discarded"] += 1
             return status, content_type, data
 
@@ -762,7 +767,10 @@ class Gateway(http11.LoopServer):
             try:
                 doc = json.loads(body or b"{}")
                 cfg = device_config(device_id, doc)
-                self.register_device_config(cfg, replace=bool(doc.get("replace", False)))
+                replace = doc.get("replace", False)
+                if not isinstance(replace, bool):
+                    raise ConfigError(f"replace must be true or false, not {replace!r}")
+                self.register_device_config(cfg, replace=replace)
             except DuplicateDeviceError:
                 return self._json_response(409, {"error": "duplicate_device", "device": device_id})
             except (ValueError, OSError) as exc:  # ConfigError, bad JSON, an unreadable mapping file

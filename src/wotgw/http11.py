@@ -142,8 +142,9 @@ def tokens(value: str) -> list[str]:
 
 
 def body_length(value: str | None) -> int:
-    """A request's declared Content-Length; raises FramingError 400 or 413."""
-    if not value:
+    """A message's declared Content-Length, 0 when it has none; raises
+    FramingError 400, or 413 past MAX_BODY_BYTES."""
+    if value is None:
         return 0
     if not (value.isascii() and value.isdigit()):
         raise FramingError(400, "bad_content_length")

@@ -196,22 +196,6 @@ def encode_reply(code: int, bound: tuple[str, int] | None = None) -> bytes:
 # --- target resolution --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResolverPolicy:
-    """Name resolution source; candidates of both families are ordered by
-    FAMILY_PREFERENCE.
-
-    ``static_table`` maps name -> ((family, address), ...); None selects the
-    system resolver. Static-table resolution is deterministic by construction.
-    """
-
-    static_table: dict | None = None
-
-    @staticmethod
-    def order(candidates: list[Candidate]) -> list[Candidate]:
-        return sorted(candidates, key=lambda c: FAMILY_PREFERENCE.index(c.family))
-
-
 def load_static_table(text: str) -> dict:
     """Parse a static resolver table: lines of ``name family address``."""
     table: dict[str, tuple] = {}
@@ -235,50 +219,46 @@ def literal_family(host: str) -> str | None:
         return None
 
 
-def resolve_target(request: SocksConnectRequest, policy: ResolverPolicy) -> list[Candidate]:
-    """Candidate addresses for a CONNECT target, ordered by family preference.
+def resolve_target(host: str, port: int, static_table: dict | None = None) -> list[Candidate]:
+    """Candidate addresses for a target, ordered by FAMILY_PREFERENCE.
 
-    Literal addresses yield themselves; domain names resolve through the
-    policy's table or the system resolver. The result may contain a family
-    different from the client side's — that is the gatewaying case.
+    A literal address yields itself. A name resolves through
+    ``static_table`` (name -> ((family, address), ...), see
+    ``load_static_table``) or, when that is None, the system resolver. The
+    result may hold a family other than the client's: that is the
+    gatewaying case.
     """
-    family = request.address_type if request.address_type != "domain" else literal_family(request.address)
+    family = literal_family(host)
     if family is not None:
-        return [Candidate(family, request.address, request.port)]
-
-    if policy.static_table is not None:
-        entries = policy.static_table.get(request.address)
+        return [Candidate(family, host, port)]
+    if static_table is not None:
+        entries = static_table.get(host)
         if not entries:
-            raise SocksError(f"unknown host {request.address!r}", REP_HOST_UNREACHABLE)
-        return policy.order([Candidate(f, a, request.port) for f, a in entries])
-
-    try:
-        infos = socket.getaddrinfo(
-            request.address, request.port, socket.AF_UNSPEC, socket.SOCK_STREAM
-        )
-    except (socket.gaierror, UnicodeError) as exc:  # UnicodeError: IDNA refuses the name
-        raise SocksError(f"cannot resolve {request.address!r}: {exc}", REP_HOST_UNREACHABLE)
-    seen = set()
-    candidates = []
-    for af, _, _, _, sockaddr in infos:
-        family = FAMILY_V4 if af == socket.AF_INET else FAMILY_V6
-        key = (family, sockaddr[0])
-        if af in (socket.AF_INET, socket.AF_INET6) and key not in seen:
-            seen.add(key)
-            candidates.append(Candidate(family, sockaddr[0], request.port))
-    if not candidates:
-        raise SocksError(f"no addresses for {request.address!r}", REP_HOST_UNREACHABLE)
-    return policy.order(candidates)
+            raise SocksError(f"unknown host {host!r}", REP_HOST_UNREACHABLE)
+        candidates = [Candidate(f, a, port) for f, a in entries]
+    else:
+        try:
+            infos = socket.getaddrinfo(host, port, socket.AF_UNSPEC, socket.SOCK_STREAM)
+        except (socket.gaierror, UnicodeError) as exc:  # UnicodeError: IDNA refuses the name
+            raise SocksError(f"cannot resolve {host!r}: {exc}", REP_HOST_UNREACHABLE)
+        candidates = list(dict.fromkeys(
+            Candidate(FAMILY_V4 if af == socket.AF_INET else FAMILY_V6, sockaddr[0], port)
+            for af, _, _, _, sockaddr in infos
+            if af in (socket.AF_INET, socket.AF_INET6)
+        ))
+        if not candidates:
+            raise SocksError(f"no addresses for {host!r}", REP_HOST_UNREACHABLE)
+    return sorted(candidates, key=lambda c: FAMILY_PREFERENCE.index(c.family))
 
 
-async def resolve(request: SocksConnectRequest, policy: ResolverPolicy) -> list[Candidate]:
+async def resolve(host: str, port: int, static_table: dict | None) -> list[Candidate]:
     """``resolve_target`` without blocking the running loop: a name for the
     system resolver is looked up on the loop's executor."""
     import asyncio
 
-    if request.address_type == "domain" and policy.static_table is None and not literal_family(request.address):
-        return await asyncio.get_running_loop().run_in_executor(None, resolve_target, request, policy)
-    return resolve_target(request, policy)
+    if static_table is None and not literal_family(host):
+        return await asyncio.get_running_loop().run_in_executor(None, resolve_target, host, port)
+    return resolve_target(host, port, static_table)
 
 
 async def dial(candidates: list[Candidate], timeout: float, connect):
@@ -405,7 +385,7 @@ class _Pipe:
 
     async def _connect(self, request: SocksConnectRequest) -> None:
         try:
-            candidates = await resolve(request, self.relay.resolver)
+            candidates = await resolve(request.address, request.port, self.relay.static_table)
             await self.relay.establish_and_pump(self, candidates)
         except SocksError as exc:
             self.refuse(exc)
@@ -462,11 +442,11 @@ class SocksRelayServer(LoopServer):
         self,
         listen_v4: tuple[str, int] | None = ("127.0.0.1", 1080),
         listen_v6: tuple[str, int] | None = ("::1", 1080),
-        resolver: ResolverPolicy | None = None,
+        static_table: dict | None = None,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
     ):
         super().__init__({FAMILY_V4: listen_v4, FAMILY_V6: listen_v6})
-        self.resolver = resolver or ResolverPolicy()
+        self.static_table = static_table  # None: the system resolver
         self.connect_timeout = connect_timeout
         self.stats = RelayStats()
 

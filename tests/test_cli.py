@@ -125,6 +125,17 @@ class TestGatewayCommand:
         assert result.returncode == 2
         assert "mapping file not found" in result.stderr
 
+    @pytest.mark.parametrize("table", [None, "dev v9 127.0.0.1\n"], ids=["missing", "malformed"])
+    def test_bad_static_resolver_table_is_a_config_error(self, tmp_path, table):
+        path = tmp_path / "hosts"
+        if table is not None:
+            path.write_text(table)
+        socks = {"listen_v4": "127.0.0.1:0", "listen_v6": "[::1]:0", "resolver": f"static:{path}"}
+        result = run_cli("gateway", "--config", self._config(tmp_path, socks=socks))
+        assert result.returncode == 2
+        assert result.stderr.startswith("wotgw: config error: socks.resolver")
+        assert "Traceback" not in result.stderr
+
     def test_starts_and_stops_cleanly(self, tmp_path):
         proc = spawn("gateway", "--config", self._config(tmp_path))
         reader = _LineReader(proc.stderr)

@@ -3,6 +3,7 @@ import contextlib
 import email.utils
 import http.client
 import json
+import math
 import socket
 import struct
 import sys
@@ -15,7 +16,7 @@ from wotgw import codec
 from wotgw.cache import CacheEntry, CacheKey
 from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, format_hostport, load_config
 from wotgw.device import DeviceSimulator
-from wotgw.http11 import Headers, http_date
+from wotgw.http11 import MAX_BODY_BYTES, Headers, http_date
 from wotgw.socks import socks_connect
 from wotgw.gateway import (
     DeviceRecord,
@@ -194,20 +195,21 @@ class TestIdlePool:
         assert POOL_MAX_IDLE == 2
         pool = IdlePool()
         conns = [_IdleConn() for _ in range(3)]
-        assert [pool.give("leg", c, 0.0) for c in conns] == [True, True, False]
+        assert [pool.give(c, 0.0) for c in conns] == [True, True, False]
         assert conns[2].closed
-        assert pool.take("leg", 1.0) == (conns[1], 0)
-        assert pool.take("other", 1.0) == (None, 0)
-        conns[1].close()
+        assert pool.take(1.0) == (conns[1], 0)
+        assert pool.take(1.0) == (conns[0], 0)
+        assert pool.take(1.0) == (None, 0)
+        pool.give(conns[0], 1.0)
         assert pool.close() == 1
 
     def test_expired_and_unquiet_connections_are_discarded(self):
         pool = IdlePool()
         old, chatty = _IdleConn(), _IdleConn()
-        pool.give("leg", old, 0.0)
-        pool.give("leg", chatty, 1.0)
+        pool.give(old, 0.0)
+        pool.give(chatty, 1.0)
         chatty.unread = True
-        assert pool.take("leg", POOL_IDLE_SECONDS + 0.5) == (None, 2)
+        assert pool.take(POOL_IDLE_SECONDS + 0.5) == (None, 2)
         assert old.closed and chatty.closed
 
     @pytest.mark.parametrize("arrival", ["stray", "eof"])
@@ -227,13 +229,13 @@ class TestIdlePool:
     def test_sweep_and_close(self):
         pool = IdlePool()
         old, fresh = _IdleConn(), _IdleConn()
-        pool.give("leg", old, 0.0)
-        pool.give("leg", fresh, 1.0)
+        pool.give(old, 0.0)
+        pool.give(fresh, 1.0)
         assert pool.sweep(POOL_IDLE_SECONDS + 0.5) == 1
         assert old.closed and not fresh.closed
         assert pool.close() == 1
         late = _IdleConn()
-        assert pool.give("leg", late, 2.0) is False  # handed back after close
+        assert pool.give(late, 2.0) is False  # handed back after close
         assert fresh.closed and late.closed
 
 
@@ -384,7 +386,7 @@ class TestRouting:
                 sock.close()
 
 
-    @pytest.mark.parametrize("length", [b"abc", b"-1"])
+    @pytest.mark.parametrize("length", [b"abc", b"-1", b""], ids=["abc", "-1", "empty"])
     def test_malformed_content_length_is_400(self, sim_v4, length):
         cfg = make_config([power_device(sim_v4)])
         with running(cfg) as gw:
@@ -755,10 +757,19 @@ class TestHealthAndOutage:
         cfg = make_config([device], socks_resolver=f"static:{table}", cache_enabled=False)
         try:
             with running(cfg) as gw:
-                assert [gw.probe_device("power") for _ in range(2)] == ["up", "up"]
+                record = gw.devices["power"]
+
+                def unpooled(answer):  # so the next request opens, and resolves, anew
+                    gw.call(record.pool.sweep, math.inf)
+                    return answer
+
+                assert [unpooled(gw.probe_device("power")) for _ in range(2)] == ["up", "up"]
                 for family in ("v6", "v4"):  # across the relay, then directly
-                    status, _, body = _request(gw.listen_address(family), "GET", "/devices/power/status")
+                    status, _, body = unpooled(
+                        _request(gw.listen_address(family), "GET", "/devices/power/status"))
                     assert (family, status, body) == (family, 200, b'{"status":"ok"}')
+                assert gw.stats()["pool"]["opened"] == 4
+                assert gw.relay.stats.snapshot()["sessions_total"] == 1
         finally:
             sim.stop()
 
@@ -892,8 +903,7 @@ class TestDeviceLegPool:
                     t.join(timeout=30)
                 assert not any(t.is_alive() for t in threads)
                 pool = gw.stats()["pool"]
-                idle = [len(conns) for record in gw.devices.values()
-                        for conns in record.pool._idle.values()]
+                idle = [len(record.pool._idle) for record in gw.devices.values()]
         finally:
             sys.setswitchinterval(switch)
         assert statuses == [200] * workers * each
@@ -913,7 +923,7 @@ class TestDeviceLegPool:
 
             def pooled_sockets():
                 return [conn.writer.get_extra_info("socket") for record in gw.devices.values()
-                        for idle in record.pool._idle.values() for conn, _ in idle]
+                        for conn, _ in record.pool._idle]
 
             def open_at_devices():
                 return len(sim_v4._connections) + len(sim_v6._connections)
@@ -941,6 +951,40 @@ class TestDeviceLegPool:
         assert all(sock.fileno() == -1 for sock in socks)
         assert _wait_for(lambda: open_at_devices() == 0)
         assert _wait_for(lambda: threading.active_count() == before_gateway)
+
+    def test_concurrent_requests_of_both_families_and_probes_share_one_pool(self, sim_v4):
+        sim_v4.inject_behavior(latency=0.2)
+        cfg = make_config([power_device(sim_v4)], cache_enabled=False)
+        with running(cfg) as gw:
+            results = []
+
+            def call(family):  # None: a probe
+                if family is None:
+                    results.append(gw.probe_device("power"))
+                else:
+                    results.append(_request(gw.listen_address(family), "GET", "/devices/power/status")[0])
+
+            threads = [threading.Thread(target=call, args=(family,))
+                       for family in ("v4", "v4", "v6", "v6", None, None)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(results, key=str) == [200] * 4 + ["up"] * 2
+            assert _idle(gw) <= POOL_MAX_IDLE
+            assert _wait_for(lambda: len(sim_v4._connections) <= POOL_MAX_IDLE)
+
+    def test_requests_of_both_families_and_a_probe_share_one_connection(self, sim_v4):
+        cfg = make_config([power_device(sim_v4)], cache_enabled=False)
+        with running(cfg) as gw:
+            for family in ("v4", "v6"):
+                assert _request(gw.listen_address(family), "GET", "/devices/power/status")[0] == 200
+            assert gw.probe_device("power") == "up"
+            assert gw.stats()["pool"] == {"opened": 1, "reused": 2, "discarded": 0}
+            assert len(sim_v4._connections) == 1
+            # the v6 request took the idle v4 connection, so no relay session
+            assert gw.relay.stats.snapshot()["sessions_total"] == 0
 
     def test_connection_closed_while_idle_is_not_reused(self):
         sim = DeviceSimulator(bind=("127.0.0.1", 0), power_save_idle=0.0).start()
@@ -1173,7 +1217,11 @@ class TestAdmin:
         {"endpoint": "127.0.0.1:9", "mapping": {"a": 1}},
         {"endpoint": "127.0.0.1:9", "mapping_file": "/nonexistent"},
         {"endpoint": "127.0.0.1:9", "ttl_seconds": "soon"},
-    ], ids=["endpoint-number", "mapping-list", "mapping-number-code", "mapping-file-missing", "ttl-word"])
+        {"endpoint": "127.0.0.1:9", "replace": "false"},
+        {"endpoint": "127.0.0.1:9", "replace": 0},
+        {"endpoint": "127.0.0.1:9", "replace": None},
+    ], ids=["endpoint-number", "mapping-list", "mapping-number-code", "mapping-file-missing", "ttl-word",
+            "replace-string", "replace-number", "replace-null"])
     def test_malformed_registration_refused(self, doc):
         with running(make_config([])) as gw:
             status, _, body = _request(gw.listen_address("v4"), "PUT", "/admin/devices/x",
@@ -1437,7 +1485,7 @@ def _scripted_gateway(payload: bytes, close: bool = False):
 
 
 def _idle(gw) -> int:
-    return sum(len(idle) for record in gw.devices.values() for idle in record.pool._idle.values())
+    return sum(len(record.pool._idle) for record in gw.devices.values())
 
 
 OK_BODY = b'{"status":"ok"}'
@@ -1461,6 +1509,71 @@ class TestDeviceLegFraming:
             assert _idle(gw) == pooled
             assert device.connections == 2 - pooled
             assert gw.stats()["pool"]["discarded"] == 0
+
+    @pytest.mark.parametrize("payload, status, error", [
+        (b"HTTP/1.1 200 OK\r\nX-A: " + b"a" * (64 * 1024) + b"\r\n\r\n", 502, "device_protocol_error"),
+        (b"HTTP/1.1 200 OK\r\nX-A: cut", 503, "device_unavailable"),
+        (b"HTTP/1.1 200 OK\r\n", 503, "device_unavailable"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n", 503, "device_unavailable"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", 502, "device_protocol_error"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}XX", 502, "device_protocol_error"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\nX-T: t\r\n", 503, "device_unavailable"),
+        (b"HTTP/1.1 100 Continue\r\n\r\n", 503, "device_unavailable"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n", 502, "device_protocol_error"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: \r\n\r\n", 502, "device_protocol_error"),
+    ], ids=["line-too-long", "eof-in-line", "eof-in-head", "eof-in-chunks", "bad-chunk-size",
+            "chunk-without-crlf", "eof-in-trailer", "eof-after-interim", "bad-length", "empty-length"])
+    def test_failed_replies(self, payload, status, error):
+        with _scripted_gateway(payload, close=True) as (gw, _):
+            got, _, body = _request(gw.listen_address("v4"), "GET", "/devices/d/status")
+        doc = codec.parse_json(body)
+        assert (got, doc.get("error", doc.get("status"))) == (status, error)
+
+    @pytest.mark.parametrize("payload, close", [
+        (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1), False),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+         + b"%x\r\n%s\r\n" % (MAX_BODY_BYTES // 2, b"1" * (MAX_BODY_BYTES // 2)) * 3 + b"0\r\n\r\n", False),
+        (b"HTTP/1.1 200 OK\r\n\r\n" + b"1" * (MAX_BODY_BYTES + 1), True),
+    ], ids=["declared", "chunked", "read-to-eof"])
+    def test_a_reply_body_over_the_cap_is_a_protocol_error(self, payload, close):
+        with _scripted_gateway(payload, close) as (gw, device):
+            status, _, body = _request(gw.listen_address("v4"), "GET", "/devices/d/status")
+            assert (status, codec.parse_json(body)["error"]) == (502, "device_protocol_error")
+            assert "body_too_large" in codec.parse_json(body)["detail"]
+            assert _idle(gw) == 0
+            assert gw.stats()["pool"]["opened"] == 1
+
+    @pytest.mark.parametrize("method, payload", [
+        ("HEAD", b"HTTP/1.1 200 OK\r\nContent-Length: 15\r\n\r\n"),
+        ("GET", b"HTTP/1.1 204 No Content\r\n\r\n"),
+        ("GET", b"HTTP/1.1 304 Not Modified\r\nContent-Length: 15\r\n\r\n"),
+    ], ids=["head", "204", "304"])
+    def test_replies_without_a_body_read_none(self, method, payload):
+        async def exchange():
+            reader = asyncio.StreamReader()
+            reader.feed_data(payload)
+            return await _read_reply(reader, method), _Upstream(reader, None).reusable()
+
+        status = int(payload[9:12])
+        assert asyncio.run(exchange()) == ((status, "application/json", b"", True), True)
+
+    def test_concurrent_misses_share_an_outage_as_is(self):
+        device = _ScriptedDevice(b"")  # accepts, reads and never answers
+        cfg = make_config([DeviceConfig(device_id="d", endpoint=format_hostport(*device.address))],
+                          request_timeout_seconds=0.3)
+        try:
+            with running(cfg) as gw:
+                async def both():
+                    misses = [gw._front("127.0.0.1", "v4", "GET", "/devices/d/status", Headers(), b"")
+                              for _ in range(2)]
+                    return await asyncio.gather(*misses)
+
+                first, second = gw.run(both())
+        finally:
+            device.close()
+        assert first == second
+        assert (first[0], codec.parse_json(first[2])) == (504, {"status": "device_timeout", "device": "d"})
+        assert device.connections == 1
 
     def test_a_body_read_to_eof_that_stalls_times_out(self):
         device = _ScriptedDevice(b'HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{"sta')

@@ -19,7 +19,6 @@ from wotgw.socks import (
     REP_SUCCESS,
     SOCKS_VERSION,
     Candidate,
-    ResolverPolicy,
     SocksConnectRequest,
     SocksError,
     SocksRelayServer,
@@ -190,29 +189,24 @@ class TestStaticTable:
 
 class TestResolveTarget:
     def test_literal_request_passes_through(self):
-        req = SocksConnectRequest("v4", "10.1.2.3", 80)
-        assert resolve_target(req, ResolverPolicy()) == [Candidate("v4", "10.1.2.3", 80)]
+        assert resolve_target("10.1.2.3", 80) == [Candidate("v4", "10.1.2.3", 80)]
 
     def test_domain_field_holding_literal(self):
-        req = SocksConnectRequest("domain", "::1", 99)
-        assert resolve_target(req, ResolverPolicy()) == [Candidate("v6", "::1", 99)]
+        assert resolve_target("::1", 99, static_table={}) == [Candidate("v6", "::1", 99)]
 
     def test_static_hit_ordered_by_preference(self):
-        req = SocksConnectRequest("domain", "dev", 8080)
         for text in ("dev v4 192.0.2.1\ndev v6 2001:db8::1\n", "dev v6 2001:db8::1\ndev v4 192.0.2.1\n"):
-            candidates = resolve_target(req, ResolverPolicy(load_static_table(text)))
+            candidates = resolve_target("dev", 8080, load_static_table(text))
             assert [c.family for c in candidates] == ["v6", "v4"]
             assert all(c.port == 8080 for c in candidates)
 
     def test_static_miss_is_host_unreachable(self):
-        req = SocksConnectRequest("domain", "nosuch", 80)
         with pytest.raises(SocksError) as err:
-            resolve_target(req, ResolverPolicy(static_table={}))
+            resolve_target("nosuch", 80, static_table={})
         assert err.value.reply_code == REP_HOST_UNREACHABLE
 
     def test_system_resolver_handles_localhost(self):
-        req = SocksConnectRequest("domain", "localhost", 80)
-        candidates = resolve_target(req, ResolverPolicy())
+        candidates = resolve_target("localhost", 80)
         assert candidates
         assert all(c.port == 80 for c in candidates)
         assert {c.family for c in candidates} <= {"v4", "v6"}
@@ -369,7 +363,7 @@ class TestLiveRelay:
         server = SocksRelayServer(
             listen_v4=("127.0.0.1", 0),
             listen_v6=None,
-            resolver=ResolverPolicy(static_table={}),
+            static_table={},
             connect_timeout=2.0,
         )
         server.start()
@@ -407,7 +401,7 @@ class TestLiveRelay:
         server = SocksRelayServer(
             listen_v4=("127.0.0.1", 0),
             listen_v6=None,
-            resolver=ResolverPolicy(static_table={}),
+            static_table={},
             connect_timeout=2.0,
         )
         server.start()
@@ -440,7 +434,7 @@ class TestLiveRelay:
         server = SocksRelayServer(
             listen_v4=("127.0.0.1", 0),
             listen_v6=None,
-            resolver=ResolverPolicy(static_table=table),
+            static_table=table,
             connect_timeout=2.0,
         )
         server.start()
