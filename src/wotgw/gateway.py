@@ -520,14 +520,17 @@ class Gateway(http11.LoopServer):
         """Send the coded request to the device, directly or across the relay.
 
         Uses the device's pooled keep-alive connection when a live one is
-        idle, whatever the client's family, or opens one (``_leg``). A GET
-        or HEAD whose reused connection dies before any response byte is
-        sent once more on a new connection. Returns (status, content_type,
-        body). Raises DeviceTimeout, DeviceUnavailable, or
-        DeviceProtocolError.
+        idle, whatever the client's family, or opens one (``_leg``). With
+        the relay disabled, a client of a family the device lacks takes no
+        pooled connection, so ``_leg`` refuses it. A GET or HEAD whose
+        reused connection dies before any response byte is sent once more
+        on a new connection. Returns (status, content_type, body). Raises
+        DeviceTimeout, DeviceUnavailable, or DeviceProtocolError.
         """
-        conn, discarded = record.pool.take(time.monotonic())
-        self.pool_counts["discarded"] += discarded
+        conn = None
+        if self.relay is not None or record.family is None or listener_family in (None, record.family):
+            conn, discarded = record.pool.take(time.monotonic())
+            self.pool_counts["discarded"] += discarded
         request = self._request_bytes(record, method, path, body)
         while True:
             reused = conn is not None

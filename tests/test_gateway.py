@@ -332,6 +332,22 @@ class TestEndToEnd:
             assert codec.parse_json(body) == {"status": "device_unavailable", "device": "power"}
             assert gw.stats()["relay"] is None
 
+    def test_relay_disabled_cross_family_fails_with_a_pooled_connection(self, sim_v6):
+        cfg = make_config([power_device(sim_v6)], relay_enabled=False, cache_enabled=False)
+        with running(cfg) as gw:
+            v4, v6 = gw.listen_address("v4"), gw.listen_address("v6")
+            unavailable = {"status": "device_unavailable", "device": "power"}
+            assert gw.probe_device("power") == "up"
+            assert _idle(gw) == 1  # the probe's v6 connection
+            status, _, body = _request(v4, "GET", "/devices/power/status")
+            assert (status, codec.parse_json(body)) == (503, unavailable)
+            assert _request(v6, "GET", "/devices/power/status")[0] == 200
+            assert _idle(gw) == 1
+            status, _, body = _request(v4, "POST", "/devices/power/power", QUERY_LONG)
+            assert (status, codec.parse_json(body)) == (503, unavailable)
+            assert gw.pool_counts["opened"] == 1
+            assert sim_v6.request_count == 2
+
     def test_relay_disabled_same_family_still_works(self, sim_v4):
         cfg = make_config([power_device(sim_v4)], relay_enabled=False)
         with running(cfg) as gw:
