@@ -18,7 +18,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, fields
 
-from wotgw.config import DeviceConfig, GatewayConfig
+from wotgw.config import DeviceConfig, GatewayConfig, format_hostport
 from wotgw.device import DEFAULT_READINGS, POWER_SENSOR_MAPPING, DeviceSimulator
 from wotgw.gateway import Gateway
 
@@ -180,9 +180,7 @@ def run_scenario(
         power_save_idle=0.0,
     )
     sim.start()
-    endpoint = f"[{sim.address[0]}]:{sim.address[1]}" if device_family == "v6" else (
-        f"{sim.address[0]}:{sim.address[1]}"
-    )
+    endpoint = format_hostport(*sim.address)
     config = GatewayConfig(
         listen_v4=("127.0.0.1", 0),
         listen_v6=("::1", 0),
@@ -276,17 +274,7 @@ def load_report(path: str) -> BenchReport:
     return BenchReport(**{k: doc[k] for k in names})
 
 
-_COMPARE_METRICS = (
-    "mean_response_ms",
-    "p50_response_ms",
-    "p95_response_ms",
-    "p99_response_ms",
-    "device_requests_observed",
-    "cache_hit_ratio",
-    "bytes_on_device_leg",
-    "bytes_on_client_leg",
-    "errors",
-)
+_COMPARE_METRICS = tuple(f.name for f in fields(BenchReport) if f.name != "scenario")
 
 
 def compare_reports(a: BenchReport, b: BenchReport) -> list[tuple[str, float, float, float]]:

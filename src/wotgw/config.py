@@ -244,6 +244,9 @@ def _build(flat: dict, devices: list[dict], base_dir: Path) -> GatewayConfig:
         if not isinstance(entry, dict) or "id" not in entry:
             raise ConfigError(f"device entry needs id and endpoint: {entry!r}")
         cfg.devices.append(device_config(str(entry["id"]), entry, base_dir))
-    if cfg.socks_resolver != "system" and not cfg.socks_resolver.startswith("static:"):
-        raise ConfigError(f"socks.resolver must be 'system' or 'static:<path>'")
+    if cfg.socks_resolver != "system":
+        if not cfg.socks_resolver.startswith("static:"):
+            raise ConfigError(f"socks.resolver must be 'system' or 'static:<path>'")
+        # like a mapping_file, the table's path is relative to the config's directory
+        cfg.socks_resolver = f"static:{base_dir / cfg.socks_resolver.removeprefix('static:')}"
     return cfg

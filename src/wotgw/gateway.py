@@ -33,7 +33,7 @@ from wotgw.cache import NOT_JSON, CacheEntry, CacheKey, ResponseCache, parse_bod
 from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, device_config, format_hostport, parse_hostport
 from wotgw.guard import DosGuard
 # socks_connect is not called here; perfbench's traced run patches this name
-from wotgw.socks import FAMILY_V4, FAMILY_V6, Candidate, SocksError, socks_connect  # noqa: F401
+from wotgw.socks import FAMILY_V4, FAMILY_V6, SocksError, socks_connect  # noqa: F401
 
 import asyncio  # noqa: E402  after the package's modules; see wotgw.http11
 
@@ -49,9 +49,6 @@ POOL_MAX_IDLE = 2
 # may close an idle keep-alive connection at any time (RFC 9112 section 9.5),
 # and an old one is the likeliest to be cut under a request.
 POOL_IDLE_SECONDS = 10.0
-# Methods retried once on a fresh connection when a reused one dies before
-# answering (RFC 9112 section 9.3.1); never POST.
-_RETRYABLE_METHODS = frozenset(("GET", "HEAD"))
 # Methods whose device-leg request carries Content-Length even when empty.
 _BODY_METHODS = frozenset(("POST", "PUT", "PATCH"))
 
@@ -126,7 +123,7 @@ async def _read_chunked(reader: asyncio.StreamReader) -> bytes:
     return b"".join(parts)
 
 
-async def _read_reply(reader: asyncio.StreamReader, method: str) -> tuple[int, str, bytes, bool]:
+async def _read_reply(reader: asyncio.StreamReader) -> tuple[int, str, bytes, bool]:
     """Read one device reply: (status, content type, body, reusable).
 
     1xx interim replies are skipped. A reply ends at its Content-Length, at
@@ -163,7 +160,7 @@ async def _read_reply(reader: asyncio.StreamReader, method: str) -> tuple[int, s
     keep = version != "HTTP/1.0" and not (connection and "close" in http11.tokens(connection))
     encoding = headers.get("transfer-encoding")
     length = headers.get("content-length")
-    if method == "HEAD" or status in (204, 304):
+    if status in (204, 304):
         data = b""
     elif encoding is not None and http11.tokens(encoding)[-1] == "chunked":
         data = await _read_chunked(reader)
@@ -195,20 +192,25 @@ class _Upstream:
     def close(self) -> None:
         self.writer.close()
 
-    async def exchange(self, message: bytes, timeout: float, method: str):
-        """Send ``message`` and read the reply; see ``_read_reply``.
-
-        Raises DeviceTimeout after ``timeout`` seconds, _Unanswered when the
-        connection ends before any byte of the reply and DeviceUnavailable
-        when it ends inside one.
-        """
+    async def exchange(self, message: bytes, timeout: float):
+        """Send ``message`` and read the reply; see ``_read_reply``. On any
+        failure the connection is closed and this raises DeviceTimeout (after
+        ``timeout`` seconds), _Unanswered (the connection ended before the
+        reply's first byte), DeviceUnavailable (inside the reply) or
+        DeviceProtocolError (a reply the framer refuses)."""
         self.writer.write(message)
         try:
-            return await asyncio.wait_for(_read_reply(self.reader, method), timeout)
+            try:
+                return await asyncio.wait_for(_read_reply(self.reader), timeout)
+            except BaseException:
+                self.close()
+                raise
         except asyncio.TimeoutError:
             raise DeviceTimeout("device timed out") from None
         except (EOFError, OSError) as exc:  # a device that died mid-reply is unavailable, not a protocol error
             raise DeviceUnavailable(f"device connection failed: {exc}") from None
+        except http11.FramingError as exc:
+            raise DeviceProtocolError(f"malformed HTTP from device: {exc}") from None
 
 
 class IdlePool:
@@ -216,47 +218,53 @@ class IdlePool:
 
     Used on the loop thread only. ``take`` returns None when no reusable
     idle connection is left and the caller opens a new one. Once closed,
-    the pool closes whatever is handed back to it.
+    the pool closes whatever is handed back to it. ``counts`` tallies the
+    connections handed out again (``reused``) and those closed unfit,
+    surplus or expired (``discarded``); a gateway's pools share one dict.
     """
 
     def __init__(self):
         self._idle: list[tuple[_Upstream, float]] = []
         self._closed = False
+        self.counts = {"reused": 0, "discarded": 0}
 
-    def take(self, now: float) -> tuple[_Upstream | None, int]:
-        """Pop a reusable idle connection; also returns how many unfit ones were closed."""
-        discarded = 0
+    def take(self, now: float) -> _Upstream | None:
+        """Pop a reusable idle connection, closing the unfit ones above it."""
         while self._idle:
             conn, since = self._idle.pop()
             if now - since <= POOL_IDLE_SECONDS and conn.reusable():
-                return conn, discarded
-            conn.close()
-            discarded += 1
-        return None, discarded
+                self.counts["reused"] += 1
+                return conn
+            self.discard(conn)
+        return None
 
-    def give(self, conn: _Upstream, now: float) -> bool:
-        """Keep ``conn`` for reuse, or close it when the pool is full or closed."""
-        if not self._closed and len(self._idle) < POOL_MAX_IDLE:
+    def give(self, conn: _Upstream, now: float) -> None:
+        """Keep ``conn`` for reuse; close it when it holds bytes past its
+        reply (the stream is out of step) or the pool is full or closed."""
+        if not self._closed and len(self._idle) < POOL_MAX_IDLE and conn.reusable():
             self._idle.append((conn, now))
-            return True
+        else:
+            self.discard(conn)
+
+    def discard(self, conn: _Upstream) -> None:
+        """Close ``conn``, one of this pool's, and count it discarded."""
         conn.close()
-        return False
+        self.counts["discarded"] += 1
 
-    def sweep(self, now: float) -> int:
-        """Close idle connections past their age limit; returns how many."""
-        return self._drop(lambda since: now - since > POOL_IDLE_SECONDS)
+    def sweep(self, now: float) -> None:
+        """Close idle connections past their age limit."""
+        self._drop(lambda since: now - since > POOL_IDLE_SECONDS)
 
-    def close(self) -> int:
-        """Close every idle connection and refuse later ones; returns how many."""
+    def close(self) -> None:
+        """Close every idle connection and refuse later ones."""
         self._closed = True
-        return self._drop(lambda since: True)
+        self._drop(lambda since: True)
 
-    def _drop(self, expired) -> int:
+    def _drop(self, expired) -> None:
         dropped = [conn for conn, since in self._idle if expired(since)]
         self._idle = [(conn, since) for conn, since in self._idle if not expired(since)]
         for conn in dropped:
-            conn.close()
-        return len(dropped)
+            self.discard(conn)
 
 
 @dataclass
@@ -337,7 +345,7 @@ class Gateway(http11.LoopServer):
         self.client_leg_bytes = 0
         self.device_leg_bytes = 0
         self.pool_counts = {"opened": 0, "reused": 0, "discarded": 0}
-        self._inflight: dict[CacheKey, asyncio.Future] = {}
+        self._inflight: dict[CacheKey, asyncio.Task] = {}
 
     @staticmethod
     def _static_table(spec: str) -> dict | None:
@@ -372,7 +380,7 @@ class Gateway(http11.LoopServer):
     async def close(self) -> None:
         await super().close()
         for record in self.devices.values():
-            self.pool_counts["discarded"] += record.pool.close()
+            record.pool.close()
         if self.relay is not None:
             await self.relay.close()
 
@@ -413,10 +421,11 @@ class Gateway(http11.LoopServer):
         if previous is not None and not replace:
             raise DuplicateDeviceError(record.device_id)
         self.devices[record.device_id] = record
+        record.pool.counts = self.pool_counts
         if previous is not None:
             self.cache.invalidate_device(record.device_id)
             if previous is not record:
-                self.pool_counts["discarded"] += previous.pool.close()
+                previous.pool.close()
         log.info("registered device id=%s endpoint=%s:%s family=%s",
                  record.device_id, record.host, record.port, record.family or "unknown")
 
@@ -432,7 +441,7 @@ class Gateway(http11.LoopServer):
                     await self._probe(record)
                 except Exception:
                     log.exception("probe failed for %s", record.device_id)
-                self.pool_counts["discarded"] += record.pool.sweep(now)
+                record.pool.sweep(now)
 
     def probe_device(self, device_id: str) -> str:
         """Issue the device's health request and update its health state."""
@@ -464,26 +473,21 @@ class Gateway(http11.LoopServer):
 
     # -- forwarding --
 
-    async def _candidates(self, record: DeviceRecord) -> list[Candidate]:
-        """The device's addresses: its literal one, or what the resolver
-        gives for its name now."""
+    async def _leg(self, record: DeviceRecord, listener_family: str | None) -> _Upstream:
+        """A new connection to the device, counted as opened.
+
+        The device's addresses, its literal one or what the resolver gives
+        for its name now, of the listener's family (any family when it is
+        None, as for health probes) are dialled directly. With none, the leg
+        crosses the relay in process: the gateway dials the others itself
+        and counts a relay session, one that sends no SOCKS bytes.
+        """
         try:
             candidates = await socks.resolve(record.host, record.port, self.static_table)
         except SocksError as exc:
             raise DeviceUnavailable(str(exc)) from None
         if len({c.family for c in candidates}) == 1:
             record.family = candidates[0].family
-        return candidates
-
-    async def _leg(self, record: DeviceRecord, listener_family: str | None) -> _Upstream:
-        """A new connection to the device.
-
-        The device's addresses of the listener's family (any family when it
-        is None, as for health probes) are dialled directly. With none, the
-        leg crosses the relay in process: the gateway dials the others
-        itself and counts a relay session, one that sends no SOCKS bytes.
-        """
-        candidates = await self._candidates(record)
         direct = [c for c in candidates if listener_family in (None, c.family)]
         relay = None if direct else self.relay
         if not direct and relay is None:
@@ -503,6 +507,7 @@ class Gateway(http11.LoopServer):
             raise DeviceUnavailable(f"connect failed: {exc}") from None
         if relay is not None:
             relay.stats.sessions_total += 1
+        self.pool_counts["opened"] += 1
         return _Upstream(*streams)
 
     def forward_to_device(
@@ -522,47 +527,33 @@ class Gateway(http11.LoopServer):
         Uses the device's pooled keep-alive connection when a live one is
         idle, whatever the client's family, or opens one (``_leg``). With
         the relay disabled, a client of a family the device lacks takes no
-        pooled connection, so ``_leg`` refuses it. A GET or HEAD whose
-        reused connection dies before any response byte is sent once more
-        on a new connection. Returns (status, content_type, body). Raises
-        DeviceTimeout, DeviceUnavailable, or DeviceProtocolError.
+        pooled connection, so ``_leg`` refuses it. A GET whose reused
+        connection dies before any response byte is sent once more on a new
+        connection (RFC 9112 section 9.3.1). Returns (status, content_type,
+        body). Raises DeviceTimeout, DeviceUnavailable, or
+        DeviceProtocolError.
         """
         conn = None
         if self.relay is not None or record.family is None or listener_family in (None, record.family):
-            conn, discarded = record.pool.take(time.monotonic())
-            self.pool_counts["discarded"] += discarded
+            conn = record.pool.take(time.monotonic())
         request = self._request_bytes(record, method, path, body)
+        retry = conn is not None and method == "GET"
         while True:
-            reused = conn is not None
-            if reused:
-                self.pool_counts["reused"] += 1
-            else:
-                conn = await self._leg(record, listener_family)
-                self.pool_counts["opened"] += 1
+            conn = conn or await self._leg(record, listener_family)
             try:
                 status, content_type, data, keep = await conn.exchange(
-                    request, self.config.request_timeout_seconds, method
+                    request, self.config.request_timeout_seconds
                 )
             except _Unanswered:
+                if not retry:
+                    raise
+                record.pool.discard(conn)  # it was cut while idle
+                conn, retry = None, False
+                continue
+            if keep:
+                record.pool.give(conn, time.monotonic())
+            else:
                 conn.close()
-                if reused and method in _RETRYABLE_METHODS:
-                    self.pool_counts["discarded"] += 1
-                    conn = None
-                    continue
-                raise
-            except http11.FramingError as exc:
-                conn.close()
-                raise DeviceProtocolError(f"malformed HTTP from device: {exc}")
-            except BaseException:
-                conn.close()
-                raise
-            if not keep:
-                conn.close()
-            elif not conn.reusable():  # bytes past the reply: the stream is out of step
-                conn.close()
-                self.pool_counts["discarded"] += 1
-            elif not record.pool.give(conn, time.monotonic()):
-                self.pool_counts["discarded"] += 1
             return status, content_type, data
 
     @staticmethod
@@ -595,7 +586,9 @@ class Gateway(http11.LoopServer):
 
     def _front(self, client_ip, listener_family, method, path, headers, body):
         """Guard, route, health, parse, key and cache lookup: the response,
-        or a coroutine answering the miss on the loop."""
+        or an awaitable answering the miss on the loop. The first miss of a
+        cacheable key runs as a task in ``_inflight`` until it ends, and an
+        identical miss meanwhile joins it (``_join``)."""
         now = time.monotonic()
         self.requests_total += 1
 
@@ -632,41 +625,27 @@ class Gateway(http11.LoopServer):
         ):
             key = CacheKey.for_request(device_id, method, device_path, body, doc)
 
-        if key is not None and not bypass:
-            entry = self.cache.get(key, time.monotonic())
-            if entry is not None:
-                return self._device_response(record, entry.status, entry.body, "hit", count_client=len(body))
-        return self._miss(record, method, device_path, body, doc, listener_family, key,
-                          share=key is not None and not bypass)
-
-    async def _miss(self, record, method, device_path, body, doc, listener_family, key, share):
-        """Forward a miss; a shareable one waits for an identical miss in
-        flight and takes its answer."""
-        args = record, method, device_path, body, doc, listener_family, key
-        flight = self._inflight.get(key) if share else None
+        if key is None or bypass:
+            return self._forward_pipeline(record, method, device_path, body, doc, listener_family, key)
+        entry = self.cache.get(key, time.monotonic())
+        if entry is not None:
+            return self._device_response(record, entry.status, entry.body, "hit", count_client=len(body))
+        flight = self._inflight.get(key)
         if flight is not None:
-            try:
-                wait = self.config.request_timeout_seconds + 1.0
-                shared = await asyncio.wait_for(asyncio.shield(flight), wait)
-            except asyncio.TimeoutError:  # not the builtin TimeoutError before Python 3.11
-                shared = None
-            if shared is not None:  # None: the request in flight failed or is slow, so forward anew
-                status, headers, payload = shared
-                if ("X-WoT-Cache", "miss") not in headers:
-                    return shared  # an outage or protocol error, passed on as is
-                return self._device_response(record, status, payload, "hit", count_client=len(body))
-        elif share:
-            flight = self._inflight[key] = asyncio.get_running_loop().create_future()
-            response = None
-            try:
-                response = await self._forward_pipeline(*args)
-                return response
-            finally:
-                flight.set_result(response)
-                # kept one more loop turn: a miss whose front half ran before
-                # this answer was cached, but whose task starts after, joins it
-                asyncio.get_running_loop().call_soon(self._inflight.pop, key, None)
-        return await self._forward_pipeline(*args)
+            return self._join(flight, record, len(body))
+        flight = self._inflight[key] = asyncio.create_task(
+            self._forward_pipeline(record, method, device_path, body, doc, listener_family, key)
+        )
+        flight.add_done_callback(lambda _: self._inflight.pop(key))
+        return flight
+
+    async def _join(self, flight: asyncio.Task, record: DeviceRecord, sent: int):
+        """The answer of the identical miss in flight: a device answer as a
+        hit, an outage or protocol error as is."""
+        status, headers, payload = await asyncio.shield(flight)
+        if ("X-WoT-Cache", "miss") not in headers:
+            return status, headers, payload
+        return self._device_response(record, status, payload, "hit", count_client=sent)
 
     async def _forward_pipeline(
         self,
@@ -734,13 +713,11 @@ class Gateway(http11.LoopServer):
             status, {"status": label, "device": record.device_id}, device=record
         )
 
-    def _json_response(self, status, value, extra=None, device=None, cache_state=None):
+    def _json_response(self, status, value, extra=None, device=None):
         body = codec.canonical_bytes(value)
         headers = [("Content-Type", "application/json")]
         if device is not None:
             headers.append(("X-WoT-Device", device.device_id))
-        if cache_state is not None:
-            headers.append(("X-WoT-Cache", cache_state))
         if extra:
             headers.extend(extra)
         return status, headers, body

@@ -101,8 +101,9 @@ def check_request(start: str, headers: Headers, methods) -> tuple:
     keep-alive, whether to send 100 Continue).
 
     Raises FramingError 400, 411, 413, 501 or 505, all before any body byte
-    is read. HTTP/1.1 keeps the connection open unless the request says
-    ``Connection: close``; HTTP/1.0 closes after the reply.
+    is read. HEAD is allowed wherever GET is. HTTP/1.1 keeps the connection
+    open unless the request says ``Connection: close``; HTTP/1.0 closes
+    after the reply.
     """
     parts = start.split(" ")
     version = VERSION.fullmatch(parts[-1])
@@ -111,7 +112,7 @@ def check_request(start: str, headers: Headers, methods) -> tuple:
     method, target, _ = parts
     if version[1] >= "2":
         raise FramingError(505, "http_version_not_supported")
-    if method not in methods:
+    if method not in methods and not (method == "HEAD" and "GET" in methods):
         raise FramingError(501, "not_implemented")
     if "transfer-encoding" in headers:
         raise FramingError(411, "length_required")
@@ -192,8 +193,10 @@ class Connection:
     awaitable of it, or None after closing the connection itself. While a
     reply is awaited, and while the peer does not read its replies, the
     connection reads nothing more, so pipelined requests are answered in
-    order. A ``respond`` that raised is logged and answered 500. The
-    connection is in its server's ``_connections`` while connected.
+    order. A ``respond`` that raised is logged and answered 500. A HEAD
+    request is answered as a GET whose reply is sent without its content
+    (RFC 9110 section 9.3.2). The connection is in its server's
+    ``_connections`` while connected.
     """
 
     methods: frozenset[str]
@@ -256,12 +259,12 @@ class Connection:
                 break
             method, path, headers, body, keep = request
             try:
-                reply = self.respond(method, path, headers, body)
+                reply = self.respond("GET" if method == "HEAD" else method, path, headers, body)
             except Exception:
                 log.exception("handler failure for %s %s", method, path)
                 reply = INTERNAL
             if isinstance(reply, tuple):
-                self._send(*reply, keep)
+                self._send(*reply, keep, method)
             elif reply is not None:
                 import asyncio
 
@@ -321,11 +324,12 @@ class Connection:
             log.exception("handler failure for %s %s", method, path)
             reply = INTERNAL
         if not self.transport.is_closing():
-            self._send(*reply, keep)
+            self._send(*reply, keep, method)
             self._serve()
 
-    def _send(self, status: int, headers, payload: bytes, keep: bool) -> None:
-        self.transport.write(render(status, headers, payload, keep, self.server_version))
+    def _send(self, status: int, headers, payload: bytes, keep: bool, method: str = "GET") -> None:
+        message = render(status, headers, payload, keep, self.server_version)
+        self.transport.write(message[: len(message) - len(payload)] if method == "HEAD" else message)
         if not keep:
             self.close()
 

@@ -9,6 +9,7 @@ from wotgw.config import (
     load_config,
     parse_hostport,
 )
+from wotgw.gateway import Gateway
 
 
 class TestParseHostport:
@@ -249,6 +250,15 @@ class TestResolverSetting:
     def test_other_values_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"socks": {"resolver": "dns-over-https"}})
+
+    def test_relative_table_path_resolved_against_config_dir(self, tmp_path, monkeypatch):
+        conf = tmp_path / "conf"
+        conf.mkdir()
+        (conf / "hosts").write_text("sensor v6 ::1\n")
+        (conf / "gw.json").write_text('{"socks": {"resolver": "static:hosts"}}')
+        monkeypatch.chdir(tmp_path)
+        cfg = load_config("conf/gw.json")
+        assert Gateway(cfg).static_table == {"sensor": (("v6", "::1"),)}
 
 
 def test_missing_file_is_config_error(tmp_path):

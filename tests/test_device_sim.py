@@ -152,6 +152,18 @@ class TestLiveSimulator:
         assert body == b'{"status":"ok"}'
         assert sim.request_count == 1
 
+    def test_head_gets_the_get_reply_without_content(self, sim):
+        conn = http.client.HTTPConnection(*sim.address, timeout=5.0)
+        try:
+            conn.request("HEAD", "/status")
+            resp = conn.getresponse()
+            assert (resp.status, resp.getheader("Content-Length"), resp.read()) == (200, "15", b"")
+            conn.request("GET", "/status")  # the same connection, still in step
+            assert conn.getresponse().read() == b'{"status":"ok"}'
+        finally:
+            conn.close()
+        assert sim.request_count == 2
+
     def test_power_query_coded_reply(self, sim):
         status, body = _request(
             sim.address, "POST", "/power", body=codec.canonical_bytes(CODED_QUERY)

@@ -195,13 +195,18 @@ class TestIdlePool:
         assert POOL_MAX_IDLE == 2
         pool = IdlePool()
         conns = [_IdleConn() for _ in range(3)]
-        assert [pool.give(c, 0.0) for c in conns] == [True, True, False]
-        assert conns[2].closed
-        assert pool.take(1.0) == (conns[1], 0)
-        assert pool.take(1.0) == (conns[0], 0)
-        assert pool.take(1.0) == (None, 0)
+        for conn in conns:
+            pool.give(conn, 0.0)
+        assert [conn.closed for conn in conns] == [False, False, True]
+        assert pool.counts == {"reused": 0, "discarded": 1}
+        assert pool.take(1.0) is conns[1]
+        assert pool.take(1.0) is conns[0]
+        assert pool.take(1.0) is None
+        assert pool.counts == {"reused": 2, "discarded": 1}
         pool.give(conns[0], 1.0)
-        assert pool.close() == 1
+        pool.close()
+        assert conns[0].closed
+        assert pool.counts == {"reused": 2, "discarded": 2}
 
     def test_expired_and_unquiet_connections_are_discarded(self):
         pool = IdlePool()
@@ -209,8 +214,19 @@ class TestIdlePool:
         pool.give(old, 0.0)
         pool.give(chatty, 1.0)
         chatty.unread = True
-        assert pool.take(POOL_IDLE_SECONDS + 0.5) == (None, 2)
+        assert pool.take(POOL_IDLE_SECONDS + 0.5) is None
         assert old.closed and chatty.closed
+        assert pool.counts == {"reused": 0, "discarded": 2}
+
+    def test_a_connection_handed_back_unquiet_or_dead_is_discarded(self):
+        pool = IdlePool()
+        chatty, dead = _IdleConn(), _IdleConn()
+        chatty.unread = True  # bytes past its reply: the stream is out of step
+        pool.give(chatty, 0.0)
+        pool.discard(dead)  # one that died under a request
+        assert chatty.closed and dead.closed
+        assert pool.take(0.0) is None
+        assert pool.counts == {"reused": 0, "discarded": 2}
 
     @pytest.mark.parametrize("arrival", ["stray", "eof"])
     def test_bytes_or_eof_while_idle_make_a_connection_unfit(self, arrival):
@@ -231,12 +247,15 @@ class TestIdlePool:
         old, fresh = _IdleConn(), _IdleConn()
         pool.give(old, 0.0)
         pool.give(fresh, 1.0)
-        assert pool.sweep(POOL_IDLE_SECONDS + 0.5) == 1
+        pool.sweep(POOL_IDLE_SECONDS + 0.5)
         assert old.closed and not fresh.closed
-        assert pool.close() == 1
+        assert pool.counts == {"reused": 0, "discarded": 1}
+        pool.close()
+        assert fresh.closed
         late = _IdleConn()
-        assert pool.give(late, 2.0) is False  # handed back after close
-        assert fresh.closed and late.closed
+        pool.give(late, 2.0)  # handed back after close
+        assert late.closed
+        assert pool.counts == {"reused": 0, "discarded": 3}
 
 
 class TestNormalizeClientIp:
@@ -600,6 +619,27 @@ class TestCachePolicy:
 
         _, second = asyncio.run(scenario())
         assert len(forwarded) == 1
+        assert ("X-WoT-Cache", "hit") in second[1]
+
+    def test_a_follower_waits_for_a_miss_slower_than_the_request_timeout(self):
+        gw = Gateway(make_config([DeviceConfig(device_id="d", endpoint="127.0.0.1:9")],
+                                 request_timeout_seconds=0.05))
+        gw.register_device_config(gw.config.devices[0])
+        forwarded = []
+
+        async def pipeline(record, method, path, body, doc, family, key):
+            forwarded.append(key)
+            await asyncio.sleep(gw.config.request_timeout_seconds + 1.1)
+            return gw._device_response(record, 200, b"{}", "miss")
+
+        async def scenario():
+            gw._forward_pipeline = pipeline
+            args = ("10.0.0.1", "v4", "GET", "/devices/d/x", {}, b"")
+            return await asyncio.gather(gw._front(*args), gw._front(*args))
+
+        first, second = asyncio.run(scenario())
+        assert len(forwarded) == 1
+        assert ("X-WoT-Cache", "miss") in first[1]
         assert ("X-WoT-Cache", "hit") in second[1]
 
     def test_concurrent_errors_coalesce_to_one_device_request(self, sim_v4):
@@ -1364,6 +1404,21 @@ class TestClientLeg:
                               b"GET //devices/power/status HTTP/1.1\r\nConnection: close\r\n\r\n")
         assert _replies(reply)[0][::2] == (200, b'{"status":"ok"}')
 
+    def test_head_is_answered_as_a_get_without_content(self, sim_v4):
+        with running(make_config([power_device(sim_v4)])) as gw:
+            reply = _send_raw(gw.listen_address("v4"),
+                              b"HEAD /devices/power/status HTTP/1.1\r\nHost: gw\r\n\r\n"
+                              + STATUS_GET + b"Connection: close\r\n\r\n")
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"\r\nContent-Length: 15" in head
+        assert b"\r\nX-WoT-Cache: miss" in head
+        # the GET's reply follows the HEAD's head at once, and takes its cache entry
+        [(status, get_head, body)] = _replies(rest)
+        assert (status, body) == (200, b'{"status":"ok"}')
+        assert b"x-wot-cache: hit" in get_head
+        assert sim_v4.request_count == 1
+
     def test_unknown_method_is_501(self, sim_v4):
         with running(make_config([power_device(sim_v4)])) as gw:
             reply = _send_raw(gw.listen_address("v4"),
@@ -1559,16 +1614,15 @@ class TestDeviceLegFraming:
             assert _idle(gw) == 0
             assert gw.stats()["pool"]["opened"] == 1
 
-    @pytest.mark.parametrize("method, payload", [
-        ("HEAD", b"HTTP/1.1 200 OK\r\nContent-Length: 15\r\n\r\n"),
-        ("GET", b"HTTP/1.1 204 No Content\r\n\r\n"),
-        ("GET", b"HTTP/1.1 304 Not Modified\r\nContent-Length: 15\r\n\r\n"),
-    ], ids=["head", "204", "304"])
-    def test_replies_without_a_body_read_none(self, method, payload):
+    @pytest.mark.parametrize("payload", [
+        b"HTTP/1.1 204 No Content\r\n\r\n",
+        b"HTTP/1.1 304 Not Modified\r\nContent-Length: 15\r\n\r\n",
+    ], ids=["204", "304"])
+    def test_replies_without_a_body_read_none(self, payload):
         async def exchange():
             reader = asyncio.StreamReader()
             reader.feed_data(payload)
-            return await _read_reply(reader, method), _Upstream(reader, None).reusable()
+            return await _read_reply(reader), _Upstream(reader, None).reusable()
 
         status = int(payload[9:12])
         assert asyncio.run(exchange()) == ((status, "application/json", b"", True), True)
@@ -1608,7 +1662,7 @@ class TestDeviceLegFraming:
 
         async def exchange():
             reader = asyncio.StreamReader()
-            reply = asyncio.ensure_future(_read_reply(reader, "GET"))
+            reply = asyncio.ensure_future(_read_reply(reader))
             for i in range(len(payload)):
                 await asyncio.sleep(0)
                 reader.feed_data(payload[i : i + 1])
