@@ -30,12 +30,18 @@ class MappingError(ValueError):
 
 
 class KeyCollisionError(ValueError):
-    """A document key equals an existing short code, so encoding would not round-trip."""
+    """A document key equals an existing short code, so encoding would not round-trip.
 
-    def __init__(self, path: str, key: str):
-        self.path = path or "/"
-        super().__init__(f"key {key!r} at {self.path!r} collides with a short code")
+    ``path`` is the key's JSON Pointer, built as the error leaves each level.
+    """
+
+    def __init__(self, key: str):
+        super().__init__(key)
         self.key = key
+        self.path = ""
+
+    def __str__(self) -> str:
+        return f"key {self.key!r} at {self.path!r} collides with a short code"
 
 
 class MappingDictionary:
@@ -148,11 +154,7 @@ def encode_keys(doc: Any, mapping: MappingDictionary) -> Any:
     Rejects documents containing a key equal to any short code: silently
     double-mapping such a key would break the round trip.
     """
-    try:
-        return _rewrite_keys(doc, mapping.to_short, mapping.short_codes)
-    except ValueError as exc:
-        key = exc.args[0]
-        raise KeyCollisionError(_find_key_path(doc, key, mapping.short_codes), key)
+    return _rewrite_keys(doc, mapping.to_short, mapping.short_codes)
 
 
 def decode_keys(doc: Any, mapping: MappingDictionary) -> Any:
@@ -164,37 +166,31 @@ def _rewrite_keys(value: Any, table: dict, forbidden: frozenset) -> Any:
     """Return a copy of ``value`` with every object key mapped through ``table``.
 
     Keys absent from ``table`` are kept as-is. A key present in ``forbidden``
-    raises ValueError carrying the offending key (the caller renders the
-    path). Lists and objects are rebuilt, leaf values are shared.
+    raises KeyCollisionError, whose path grows by one step as it leaves each
+    enclosing object or list. Lists and objects are rebuilt, leaf values are
+    shared.
     """
     if isinstance(value, dict):
         out = {}
-        for key, sub in value.items():
-            if key in forbidden:
-                raise ValueError(key)
-            out[table.get(key, key)] = _rewrite_keys(sub, table, forbidden)
+        try:
+            for key, sub in value.items():
+                if key in forbidden:
+                    raise KeyCollisionError(key)
+                out[table.get(key, key)] = _rewrite_keys(sub, table, forbidden)
+        except KeyCollisionError as exc:
+            exc.path = f"/{key}{exc.path}"
+            raise
         return out
     if isinstance(value, list):
-        return [_rewrite_keys(item, table, forbidden) for item in value]
+        out = []
+        try:
+            for i, item in enumerate(value):
+                out.append(_rewrite_keys(item, table, forbidden))
+        except KeyCollisionError as exc:
+            exc.path = f"/{i}{exc.path}"
+            raise
+        return out
     return value
-
-
-def _find_key_path(value: Any, key: str, forbidden: frozenset, path: str = "") -> str:
-    """Locate the first occurrence of a forbidden key, for error reporting."""
-    if isinstance(value, dict):
-        for k, sub in value.items():
-            here = f"{path}/{k}"
-            if k in forbidden:
-                return here
-            found = _find_key_path(sub, key, forbidden, here)
-            if found:
-                return found
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            found = _find_key_path(item, key, forbidden, f"{path}/{i}")
-            if found:
-                return found
-    return ""
 
 
 # --- canonical serialization -------------------------------------------------

@@ -180,8 +180,13 @@ def _coerce(value: object, kind: type) -> object:
         if isinstance(value, str) and value.lower() in ("true", "false"):
             return value.lower() == "true"
         raise ConfigError(f"expected true/false, got {value!r}")
+    if kind is str:
+        return str(value)
+    # bool is an int to Python, and int() would drop a fraction unseen
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"expected {'a whole' if kind is int else 'a'} number, got {value!r}")
     value = kind(value)
-    if kind is not str and not 0 <= value < math.inf:  # NaN too
+    if not 0 <= value < math.inf:  # NaN too
         raise ConfigError(f"expected a finite number >= 0, got {value!r}")
     return value
 

@@ -57,20 +57,21 @@ class DuplicateDeviceError(ValueError):
     pass
 
 
-class DeviceUnavailable(Exception):
-    """Connect or read failure talking to the device."""
+class DeviceError(Exception):
+    """A device-leg failure and the status the client gets for it: 503 the
+    device is unavailable, 504 it timed out, 502 it answered, but not with
+    parseable HTTP or JSON. ``blame`` says whether it counts against the
+    device's health: never for a 502, which is an answer, nor for the
+    gateway's own refusal to reach the device."""
+
+    def __init__(self, status: int, detail: str, blame: bool = True):
+        super().__init__(detail)
+        self.status = status
+        self.blame = blame and status != 502
 
 
-class DeviceTimeout(DeviceUnavailable):
-    pass
-
-
-class _Unanswered(DeviceUnavailable):
-    """The connection failed before any response byte arrived."""
-
-
-class DeviceProtocolError(Exception):
-    """The device answered, but not with parseable HTTP/JSON."""
+class _Unanswered(DeviceError):
+    """The connection failed before any response byte arrived (503)."""
 
 
 async def _line(reader: asyncio.StreamReader) -> bytes:
@@ -137,7 +138,7 @@ async def _read_reply(reader: asyncio.StreamReader) -> tuple[int, str, bytes, bo
     except OSError:  # a reset before the reply's first byte
         head = None
     if head is None:
-        raise _Unanswered("device closed the connection without answering")
+        raise _Unanswered(503, "device closed the connection without answering")
     while True:
         start, headers = head
         version, _, rest = start.partition(" ")
@@ -194,10 +195,10 @@ class _Upstream:
 
     async def exchange(self, message: bytes, timeout: float):
         """Send ``message`` and read the reply; see ``_read_reply``. On any
-        failure the connection is closed and this raises DeviceTimeout (after
-        ``timeout`` seconds), _Unanswered (the connection ended before the
-        reply's first byte), DeviceUnavailable (inside the reply) or
-        DeviceProtocolError (a reply the framer refuses)."""
+        failure the connection is closed and this raises DeviceError: 504
+        after ``timeout`` seconds, _Unanswered when the connection ended
+        before the reply's first byte, 503 inside the reply, 502 for a reply
+        the framer refuses."""
         self.writer.write(message)
         try:
             try:
@@ -206,11 +207,11 @@ class _Upstream:
                 self.close()
                 raise
         except asyncio.TimeoutError:
-            raise DeviceTimeout("device timed out") from None
+            raise DeviceError(504, "device timed out") from None
         except (EOFError, OSError) as exc:  # a device that died mid-reply is unavailable, not a protocol error
-            raise DeviceUnavailable(f"device connection failed: {exc}") from None
+            raise DeviceError(503, f"device connection failed: {exc}") from None
         except http11.FramingError as exc:
-            raise DeviceProtocolError(f"malformed HTTP from device: {exc}") from None
+            raise DeviceError(502, f"malformed HTTP from device: {exc}") from None
 
 
 class IdlePool:
@@ -388,6 +389,9 @@ class Gateway(http11.LoopServer):
 
     def register_device_config(self, cfg: DeviceConfig, replace: bool = False) -> DeviceRecord:
         host, port, family = parse_hostport(cfg.endpoint)
+        if not cfg.device_id or "/" in cfg.device_id or not http11.valid_path("/" + cfg.device_id):
+            # a request names its device as one segment of its path
+            raise ConfigError(f"bad device id {cfg.device_id!r}: no request could name it")
         if not http11.valid_path(cfg.health_path):
             # pasted into the probe's request line, so it must not end that line
             raise ConfigError(f"device {cfg.device_id}: bad health_path {cfg.health_path!r}")
@@ -451,7 +455,7 @@ class Gateway(http11.LoopServer):
         try:
             status, _, _ = await self._forward(record, "GET", record.health_path, b"", None)
             ok = 200 <= status < 300
-        except (DeviceUnavailable, DeviceProtocolError):
+        except DeviceError:  # a 502 too: a probe wants a parseable answer
             ok = False
         return self._note_health(record, ok, probed=True)
 
@@ -485,15 +489,17 @@ class Gateway(http11.LoopServer):
         try:
             candidates = await socks.resolve(record.host, record.port, self.static_table)
         except SocksError as exc:
-            raise DeviceUnavailable(str(exc)) from None
+            raise DeviceError(503, str(exc)) from None
         if len({c.family for c in candidates}) == 1:
             record.family = candidates[0].family
         direct = [c for c in candidates if listener_family in (None, c.family)]
         relay = None if direct else self.relay
         if not direct and relay is None:
-            raise DeviceUnavailable(
+            raise DeviceError(
+                503,
                 f"device {record.device_id} is {candidates[0].family}-only, "
-                f"client leg is {listener_family}, and the relay is disabled"
+                f"client leg is {listener_family}, and the relay is disabled",
+                blame=False,
             )
         try:
             streams = await socks.dial(
@@ -504,7 +510,7 @@ class Gateway(http11.LoopServer):
         except SocksError as exc:
             if relay is not None:
                 relay.stats.sessions_failed += 1
-            raise DeviceUnavailable(f"connect failed: {exc}") from None
+            raise DeviceError(503, f"connect failed: {exc}") from None
         if relay is not None:
             relay.stats.sessions_total += 1
         self.pool_counts["opened"] += 1
@@ -530,8 +536,7 @@ class Gateway(http11.LoopServer):
         pooled connection, so ``_leg`` refuses it. A GET whose reused
         connection dies before any response byte is sent once more on a new
         connection (RFC 9112 section 9.3.1). Returns (status, content_type,
-        body). Raises DeviceTimeout, DeviceUnavailable, or
-        DeviceProtocolError.
+        body). Raises DeviceError.
         """
         conn = None
         if self.relay is not None or record.family is None or listener_family in (None, record.family):
@@ -614,7 +619,7 @@ class Gateway(http11.LoopServer):
             return self._json_response(404, {"error": "unknown_device", "device": device_id})
 
         if record.health == HEALTH_DOWN:
-            return self._outage_response(record)
+            return self._device_error(record, DeviceError(503, "device is down"))
 
         doc = parse_body(body)
         cache_control = (headers.get("Cache-Control") or headers.get("Pragma") or "").lower()
@@ -671,34 +676,20 @@ class Gateway(http11.LoopServer):
             status, content_type, raw = await self._forward(
                 record, method, device_path, body_out, listener_family
             )
-        except DeviceTimeout:
-            self._note_health(record, False)
-            return self._outage_response(record, status=504, label="device_timeout")
-        except DeviceUnavailable:
-            self._note_health(record, False)
-            return self._outage_response(record)
-        except DeviceProtocolError as exc:
-            return self._json_response(
-                502, {"error": "device_protocol_error", "device": record.device_id, "detail": str(exc)},
-                device=record,
-            )
-        self._note_health(record, True)
-        self.device_leg_bytes += len(body_out) + len(raw)
-
-        decoded = raw
-        if raw:
-            try:
-                decoded_value = codec.decode_keys(codec.parse_json(raw), record.mapping)
-                decoded = codec.canonical_bytes(decoded_value)
-            except (ValueError, TypeError):
-                if 200 <= status < 300:
-                    return self._json_response(
-                        502,
-                        {"error": "device_protocol_error", "device": record.device_id,
-                         "detail": "unparseable device response body"},
-                        device=record,
-                    )
-                # non-2xx with a non-JSON body passes through untouched
+            self._note_health(record, True)
+            self.device_leg_bytes += len(body_out) + len(raw)
+            decoded = raw
+            if raw:
+                try:
+                    decoded = codec.canonical_bytes(codec.decode_keys(codec.parse_json(raw), record.mapping))
+                except (ValueError, TypeError):
+                    if 200 <= status < 300:
+                        raise DeviceError(502, "unparseable device response body") from None
+                    # non-2xx with a non-JSON body passes through untouched
+        except DeviceError as exc:
+            if exc.blame:
+                self._note_health(record, False)
+            return self._device_error(record, exc)
 
         if key is not None and 200 <= status < 300:
             ttl = record.ttl if record.ttl is not None else self.cache.default_ttl
@@ -708,10 +699,13 @@ class Gateway(http11.LoopServer):
 
     # -- response helpers --
 
-    def _outage_response(self, record: DeviceRecord, status: int = 503, label: str = "device_unavailable"):
-        return self._json_response(
-            status, {"status": label, "device": record.device_id}, device=record
-        )
+    def _device_error(self, record: DeviceRecord, error: DeviceError):
+        if error.status == 502:
+            value = {"error": "device_protocol_error", "device": record.device_id, "detail": str(error)}
+        else:
+            label = "device_timeout" if error.status == 504 else "device_unavailable"
+            value = {"status": label, "device": record.device_id}
+        return self._json_response(error.status, value, device=record)
 
     def _json_response(self, status, value, extra=None, device=None):
         body = codec.canonical_bytes(value)

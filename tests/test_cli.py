@@ -125,6 +125,12 @@ class TestGatewayCommand:
         assert result.returncode == 2
         assert "mapping file not found" in result.stderr
 
+    def test_device_id_no_request_can_name_is_a_config_error(self, tmp_path):
+        config = self._config(tmp_path, devices=[{"id": "a b", "endpoint": "127.0.0.1:1"}])
+        result = run_cli("gateway", "--config", config)
+        assert result.returncode == 2
+        assert result.stderr.startswith("wotgw: config error: bad device id 'a b'")
+
     @pytest.mark.parametrize("table", [None, "dev v9 127.0.0.1\n"], ids=["missing", "malformed"])
     def test_bad_static_resolver_table_is_a_config_error(self, tmp_path, table):
         path = tmp_path / "hosts"

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from wotgw import config
 from wotgw.config import (
     ConfigError,
     DeviceConfig,
@@ -74,6 +77,11 @@ class TestDefaults:
         assert cfg.socks_resolver == "system"
         assert cfg.devices == []
 
+    def test_every_key_is_documented_in_readme(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        keys = [*config._LISTEN_KEYS, *config._SCALAR_KEYS]
+        assert [key for key in keys if f"`{key}`" not in readme] == []
+
 
 class TestJsonFormat:
     def test_nested_sections(self, tmp_path):
@@ -143,8 +151,13 @@ class TestJsonFormat:
         ("gateway.request_timeout_seconds", float("inf")),
         ("dos.rate_limit", float("inf")),
         ("cache.max_bytes", "-1"),
+        ("cache.max_entries", 10.9),
+        ("gateway.failure_threshold", 0.5),
+        ("dos.rate_limit", True),
+        ("gateway.request_timeout_seconds", True),
     ], ids=["ttl-nan", "entries-negative", "window-minus-inf", "timeout-inf",
-            "rate-int-inf", "bytes-negative-text"])
+            "rate-int-inf", "bytes-negative-text", "entries-fraction", "threshold-fraction",
+            "rate-bool", "timeout-bool"])
     def test_number_out_of_range_reports_key(self, key, value):
         with pytest.raises(ConfigError) as err:
             config_from_dict({key: value})

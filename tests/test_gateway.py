@@ -14,7 +14,7 @@ import pytest
 
 from wotgw import codec
 from wotgw.cache import CacheEntry, CacheKey
-from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, format_hostport, load_config
+from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, config_from_dict, format_hostport, load_config
 from wotgw.device import DeviceSimulator
 from wotgw.http11 import MAX_BODY_BYTES, Headers, http_date
 from wotgw.socks import socks_connect
@@ -366,6 +366,23 @@ class TestEndToEnd:
             assert (status, codec.parse_json(body)) == (503, unavailable)
             assert gw.pool_counts["opened"] == 1
             assert sim_v6.request_count == 2
+
+    @pytest.mark.parametrize("health", ["unknown", "up"])
+    def test_relay_disabled_refusal_leaves_the_device_healthy(self, sim_v4, health):
+        # the gateway, not the device, refuses a v6 client here
+        cfg = make_config([power_device(sim_v4)], relay_enabled=False, cache_enabled=False)
+        with running(cfg) as gw:
+            v4, v6 = gw.listen_address("v4"), gw.listen_address("v6")
+            refusals = 1
+            if health == "up":
+                assert _request(v4, "GET", "/devices/power/status")[0] == 200
+                refusals = cfg.failure_threshold
+            for _ in range(refusals):
+                status, _, body = _request(v6, "GET", "/devices/power/status")
+                assert (status, codec.parse_json(body)) == (503, {"status": "device_unavailable", "device": "power"})
+            assert gw.stats()["devices"] == {"power": health}
+            assert _request(v4, "GET", "/devices/power/status")[::2] == (200, b'{"status":"ok"}')
+            assert gw.stats()["devices"] == {"power": "up"}
 
     def test_relay_disabled_same_family_still_works(self, sim_v4):
         cfg = make_config([power_device(sim_v4)], relay_enabled=False)
@@ -1750,6 +1767,17 @@ class TestLifecycle:
                         "device.d.health_path = status\n")
         with pytest.raises(ConfigError, match="health_path"):
             Gateway(load_config(conf)).start()
+
+    @pytest.mark.parametrize("device_id", ["", "a/b", "a b", "x\r\ny"], ids=["empty", "slash", "space", "crlf"])
+    def test_device_id_no_request_can_name_fails_start(self, device_id):
+        # a request names its device as one path segment of its request line
+        loaded = config_from_dict({"gateway": {"listen_v4": "127.0.0.1:0", "listen_v6": None},
+                                   "socks": {"listen_v4": "127.0.0.1:0", "listen_v6": None},
+                                   "devices": [{"id": device_id, "endpoint": "127.0.0.1:9"}]})
+        built = make_config([DeviceConfig(device_id=device_id, endpoint="127.0.0.1:9")])
+        for cfg in (loaded, built):
+            with pytest.raises(ConfigError, match="device id"):
+                Gateway(cfg).start()
 
     def test_threads_do_not_grow_with_connections_or_relay_sessions(self):
         target = socket.socket()  # completes TCP handshakes from its backlog, never accepts
