@@ -303,6 +303,31 @@ def _normalize_client_ip(host: str) -> str:
     return (mapped or addr).compressed
 
 
+class _DeviceRelay(socks.SocksRelayServer):
+    """The gateway's embedded relay: a CONNECT may dial only the addresses
+    and ports that the gateway's resolver gives for its registered devices.
+    Anything else, the gateway's own listeners included, gets reply 0x02."""
+
+    def __init__(self, gateway: "Gateway", **kwargs):
+        super().__init__(**kwargs)
+        self.gateway = gateway
+
+    async def permit(self, candidates: list[socks.Candidate]) -> list[socks.Candidate]:
+        def target(c):  # one spelling per address, as for client addresses
+            return _normalize_client_ip(c.address), c.port
+
+        devices = set()
+        for record in list(self.gateway.devices.values()):  # a copy: resolving awaits
+            try:
+                devices.update(map(target, await socks.resolve(record.host, record.port, self.static_table)))
+            except SocksError:  # a name the resolver lacks gives no address
+                pass
+        allowed = [c for c in candidates if target(c) in devices]
+        if not allowed:
+            raise SocksError("target is not a registered device", socks.REP_NOT_ALLOWED)
+        return allowed
+
+
 class Gateway(http11.LoopServer):
     """Pipeline state shared by all listeners: devices, cache, guard, relay.
 
@@ -335,7 +360,8 @@ class Gateway(http11.LoopServer):
         self.static_table = self._static_table(config.socks_resolver)
         self.relay: socks.SocksRelayServer | None = None
         if config.relay_enabled:
-            self.relay = socks.SocksRelayServer(
+            self.relay = _DeviceRelay(
+                self,
                 listen_v4=config.socks_listen_v4,
                 listen_v6=config.socks_listen_v6,
                 static_table=self.static_table,
@@ -417,7 +443,7 @@ class Gateway(http11.LoopServer):
 
     def register_device(self, record: DeviceRecord, replace: bool = False) -> None:
         """Add a device; a taken id raises DuplicateDeviceError unless
-        ``replace``, which drops the old record's cache entries and pool."""
+        ``replace``, which drops the old record's cache entries, flights and pool."""
         self.call(self._register, record, replace)
 
     def _register(self, record: DeviceRecord, replace: bool) -> None:
@@ -426,8 +452,9 @@ class Gateway(http11.LoopServer):
             raise DuplicateDeviceError(record.device_id)
         self.devices[record.device_id] = record
         record.pool.counts = self.pool_counts
-        if previous is not None:
+        if previous is not None:  # no later request gets the old device's answers
             self.cache.invalidate_device(record.device_id)
+            self._inflight = {k: t for k, t in self._inflight.items() if k.device_id != record.device_id}
             if previous is not record:
                 previous.pool.close()
         log.info("registered device id=%s endpoint=%s:%s family=%s",
@@ -484,14 +511,15 @@ class Gateway(http11.LoopServer):
         for its name now, of the listener's family (any family when it is
         None, as for health probes) are dialled directly. With none, the leg
         crosses the relay in process: the gateway dials the others itself
-        and counts a relay session, one that sends no SOCKS bytes.
+        and counts a relay session, one that sends no SOCKS bytes. With no
+        relay either, it refuses: ``_front`` does so first once this has set
+        ``record.family`` (None when the device has both families).
         """
         try:
             candidates = await socks.resolve(record.host, record.port, self.static_table)
         except SocksError as exc:
             raise DeviceError(503, str(exc)) from None
-        if len({c.family for c in candidates}) == 1:
-            record.family = candidates[0].family
+        record.family = candidates[0].family if len({c.family for c in candidates}) == 1 else None
         direct = [c for c in candidates if listener_family in (None, c.family)]
         relay = None if direct else self.relay
         if not direct and relay is None:
@@ -531,16 +559,12 @@ class Gateway(http11.LoopServer):
         """Send the coded request to the device, directly or across the relay.
 
         Uses the device's pooled keep-alive connection when a live one is
-        idle, whatever the client's family, or opens one (``_leg``). With
-        the relay disabled, a client of a family the device lacks takes no
-        pooled connection, so ``_leg`` refuses it. A GET whose reused
-        connection dies before any response byte is sent once more on a new
-        connection (RFC 9112 section 9.3.1). Returns (status, content_type,
-        body). Raises DeviceError.
+        idle, whatever the client's family, or opens one (``_leg``). A GET
+        whose reused connection dies before any response byte is sent once
+        more on a new connection (RFC 9112 section 9.3.1). Returns (status,
+        content_type, body). Raises DeviceError.
         """
-        conn = None
-        if self.relay is not None or record.family is None or listener_family in (None, record.family):
-            conn = record.pool.take(time.monotonic())
+        conn = record.pool.take(time.monotonic())
         request = self._request_bytes(record, method, path, body)
         retry = conn is not None and method == "GET"
         while True:
@@ -590,10 +614,10 @@ class Gateway(http11.LoopServer):
         return self.run(on_loop())
 
     def _front(self, client_ip, listener_family, method, path, headers, body):
-        """Guard, route, health, parse, key and cache lookup: the response,
-        or an awaitable answering the miss on the loop. The first miss of a
-        cacheable key runs as a task in ``_inflight`` until it ends, and an
-        identical miss meanwhile joins it (``_join``)."""
+        """Guard, route, health, family, parse, key and cache lookup: the
+        response, or an awaitable answering the miss on the loop. A miss of
+        a cacheable key, or a ``no-cache`` request, which skips the lookup,
+        joins the key's task in ``_inflight`` (``_join``) or starts it."""
         now = time.monotonic()
         self.requests_total += 1
 
@@ -620,19 +644,16 @@ class Gateway(http11.LoopServer):
 
         if record.health == HEALTH_DOWN:
             return self._device_error(record, DeviceError(503, "device is down"))
+        if self.relay is None and record.family not in (None, listener_family):
+            return self._device_error(record, DeviceError(503, "relay disabled"))
 
         doc = parse_body(body)
+        cacheable = method == "GET" or (method == "POST" and doc is not NOT_JSON)
+        if not (self.config.cache_enabled and cacheable):
+            return self._forward_pipeline(record, method, device_path, body, doc, listener_family, None)
+        key = CacheKey.for_request(device_id, method, device_path, body, doc)
         cache_control = (headers.get("Cache-Control") or headers.get("Pragma") or "").lower()
-        bypass = "no-cache" in cache_control
-        key = None  # set only when the request is cacheable
-        if self.config.cache_enabled and (
-            method == "GET" or (method == "POST" and doc is not NOT_JSON)
-        ):
-            key = CacheKey.for_request(device_id, method, device_path, body, doc)
-
-        if key is None or bypass:
-            return self._forward_pipeline(record, method, device_path, body, doc, listener_family, key)
-        entry = self.cache.get(key, time.monotonic())
+        entry = None if "no-cache" in cache_control else self.cache.get(key, time.monotonic())
         if entry is not None:
             return self._device_response(record, entry.status, entry.body, "hit", count_client=len(body))
         flight = self._inflight.get(key)
@@ -641,7 +662,7 @@ class Gateway(http11.LoopServer):
         flight = self._inflight[key] = asyncio.create_task(
             self._forward_pipeline(record, method, device_path, body, doc, listener_family, key)
         )
-        flight.add_done_callback(lambda _: self._inflight.pop(key))
+        flight.add_done_callback(lambda _: self._inflight.get(key) is flight and self._inflight.pop(key))
         return flight
 
     async def _join(self, flight: asyncio.Task, record: DeviceRecord, sent: int):
@@ -691,7 +712,7 @@ class Gateway(http11.LoopServer):
                 self._note_health(record, False)
             return self._device_error(record, exc)
 
-        if key is not None and 200 <= status < 300:
+        if key is not None and 200 <= status < 300 and self.devices.get(record.device_id) is record:
             ttl = record.ttl if record.ttl is not None else self.cache.default_ttl
             self.cache.put(key, CacheEntry(status, decoded, time.monotonic(), ttl))
 

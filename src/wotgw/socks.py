@@ -45,6 +45,7 @@ METHOD_NO_ACCEPTABLE = 0xFF
 
 REP_SUCCESS = 0x00
 REP_GENERAL_FAILURE = 0x01
+REP_NOT_ALLOWED = 0x02
 REP_NETWORK_UNREACHABLE = 0x03
 REP_HOST_UNREACHABLE = 0x04
 REP_CONNECTION_REFUSED = 0x05
@@ -386,7 +387,7 @@ class _Pipe:
     async def _connect(self, request: SocksConnectRequest) -> None:
         try:
             candidates = await resolve(request.address, request.port, self.relay.static_table)
-            await self.relay.establish_and_pump(self, candidates)
+            await self.relay.establish_and_pump(self, await self.relay.permit(candidates))
         except SocksError as exc:
             self.refuse(exc)
 
@@ -452,6 +453,11 @@ class SocksRelayServer(LoopServer):
 
     def accept(self, family: str) -> _Pipe:
         return _Pipe(self)
+
+    async def permit(self, candidates: list[Candidate]) -> list[Candidate]:
+        """The candidates of a CONNECT's target that the relay may dial: all
+        of them here. Raises SocksError with the reply to send for none."""
+        return candidates
 
     async def establish_and_pump(self, client: _Pipe, candidates: list[Candidate]) -> None:
         """Connect to the first reachable candidate, reply, and start the splice.

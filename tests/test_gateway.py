@@ -15,9 +15,9 @@ import pytest
 from wotgw import codec
 from wotgw.cache import CacheEntry, CacheKey
 from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, config_from_dict, format_hostport, load_config
-from wotgw.device import DeviceSimulator
+from wotgw.device import DEFAULT_READINGS, DeviceSimulator
 from wotgw.http11 import MAX_BODY_BYTES, Headers, http_date
-from wotgw.socks import socks_connect
+from wotgw.socks import SocksReplyError, socks_connect
 from wotgw.gateway import (
     DeviceRecord,
     DuplicateDeviceError,
@@ -68,6 +68,25 @@ def _wait_for(predicate, timeout=5.0):
             return True
         time.sleep(0.01)
     return False
+
+
+async def _settle(reply):
+    """``Gateway._front``'s reply, awaited when it is an awaitable."""
+    return reply if isinstance(reply, tuple) else await reply
+
+
+def _front_all(gw, *requests):
+    """The replies of ``Gateway._front`` to ``requests``, each (family,
+    method, path, headers, body), all sent in one turn of the gateway's loop."""
+    async def send():
+        replies = [gw._front("127.0.0.1", *request) for request in requests]
+        return await asyncio.gather(*map(_settle, replies))
+
+    return gw.run(send())
+
+
+UNAVAILABLE = {"status": "device_unavailable", "device": "power"}
+GET_STATUS = ("GET", "/devices/power/status", Headers(), b"")
 
 
 def make_config(devices, **over):
@@ -147,6 +166,32 @@ class TestRegistry:
             assert gw.cache.get(key, time.monotonic()) is not None
             gw.register_device_config(power_device(sim_v4), replace=True)
             assert gw.cache.get(key, time.monotonic()) is None
+
+    def test_replacing_a_device_drops_its_answers_in_flight(self):
+        old = DeviceSimulator(bind=("127.0.0.1", 0), power_save_idle=0.0, base_latency=0.3).start()
+        new = DeviceSimulator(bind=("127.0.0.1", 0), power_save_idle=0.0, base_latency=0.5,
+                              readings=DEFAULT_READINGS[:1]).start()
+        query = ("v4", "POST", "/devices/power/power", Headers(), QUERY_LONG)
+        try:
+            with running(make_config([power_device(old)])) as gw:
+                async def replace_in_flight():
+                    first = gw._front("127.0.0.1", *query)  # the old device answers at 0.3 s
+                    await asyncio.sleep(0.05)
+                    gw.register_device_config(power_device(new), replace=True)
+                    second = gw._front("127.0.0.1", *query)  # the new one at 0.55 s
+                    await first
+                    third = gw._front("127.0.0.1", *query)  # joins the second's flight
+                    return await first, await second, await _settle(third)
+
+                first, *later = [*gw.run(replace_in_flight()), *_front_all(gw, query)]
+        finally:
+            old.stop()
+            new.stop()
+        readings = codec.parse_json(TWO_DEVICE_LONG)
+        assert first[::2] == (200, TWO_DEVICE_LONG)  # asked before the replace
+        assert [(status, codec.parse_json(body)) for status, _, body in later] == [(200, readings[:1])] * 3
+        assert [dict(headers)["X-WoT-Cache"] for _, headers, _ in later] == ["miss", "hit", "hit"]
+        assert (old.request_count, new.request_count) == (1, 1)
 
 
 class TestLoopOwnership:
@@ -392,6 +437,59 @@ class TestEndToEnd:
             assert status == 200
             assert body == b'{"status":"ok"}'
 
+    def test_relay_disabled_refusal_starts_no_flight(self, sim_v4):
+        # the v4 miss right behind a refused v6 one is served, not refused with it
+        with running(make_config([power_device(sim_v4)], relay_enabled=False)) as gw:
+            (v6_status, _, v6_body), v4 = _front_all(gw, ("v6", *GET_STATUS), ("v4", *GET_STATUS))
+            assert (v6_status, codec.parse_json(v6_body)) == (503, UNAVAILABLE)
+            assert v4[::2] == (200, OK_BODY)
+            assert sim_v4.request_count == 1
+
+    def test_relay_disabled_refusal_comes_before_the_cache(self, sim_v4):
+        with running(make_config([power_device(sim_v4)], relay_enabled=False)) as gw:
+            [v4] = _front_all(gw, ("v4", *GET_STATUS))
+            assert v4[::2] == (200, OK_BODY)
+            [(status, _, body)] = _front_all(gw, ("v6", *GET_STATUS))
+            assert (status, codec.parse_json(body)) == (503, UNAVAILABLE)
+
+    def test_relay_disabled_a_name_that_gains_a_family_serves_it(self, tmp_path):
+        table = tmp_path / "hosts"
+        table.write_text("dual.device v4 127.0.0.1\n")
+        with contextlib.ExitStack() as stack:
+            # a v4 and a v6 simulator on one port stand for a dual-stack device
+            sim4 = DeviceSimulator(bind=("127.0.0.1", 0), power_save_idle=0.0).start()
+            stack.callback(sim4.stop)
+            stack.callback(DeviceSimulator(bind=("::1", sim4.address[1]), power_save_idle=0.0).start().stop)
+            device = DeviceConfig(device_id="power", endpoint=f"dual.device:{sim4.address[1]}")
+            gw = stack.enter_context(running(make_config(
+                [device], socks_resolver=f"static:{table}", relay_enabled=False, cache_enabled=False)))
+            assert _front_all(gw, ("v4", *GET_STATUS))[0][0] == 200  # the name resolves to v4 only
+            assert _front_all(gw, ("v6", *GET_STATUS))[0][0] == 503
+            gw.call(gw.static_table.__setitem__, "dual.device", (("v4", "127.0.0.1"), ("v6", "::1")))
+            gw.call(gw.devices["power"].pool.sweep, math.inf)  # so the next request resolves anew
+            assert _front_all(gw, ("v4", *GET_STATUS))[0][0] == 200
+            assert _front_all(gw, ("v6", *GET_STATUS))[0][::2] == (200, OK_BODY)
+
+
+class TestRelayTargets:
+    def test_a_connect_to_the_gateways_own_listener_is_not_allowed(self, sim_v4):
+        with running(make_config([power_device(sim_v4)])) as gw:
+            with pytest.raises(SocksReplyError) as refused:
+                socks_connect(gw.relay.listen_address("v6"), *gw.listen_address("v4"), timeout=5.0).close()
+            assert refused.value.reply_code == 0x02  # connection not allowed by ruleset
+            assert _wait_for(lambda: gw.relay.stats.snapshot()["sessions_failed"] == 1)
+            assert gw.relay.stats.snapshot()["sessions_total"] == 0
+
+    def test_a_connect_to_a_registered_device_relays(self, sim_v4):
+        with running(make_config([power_device(sim_v4)])) as gw:
+            with socks_connect(gw.relay.listen_address("v6"), *sim_v4.address, timeout=5.0) as sock:
+                sock.sendall(b"GET /status HTTP/1.1\r\nHost: d\r\nConnection: close\r\n\r\n")
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            assert reply.startswith(b"HTTP/1.1 200 ") and reply.endswith(OK_BODY)
+            assert sim_v4.request_count == 1
+
 
 class TestRouting:
     def test_unknown_device(self, sim_v4):
@@ -519,6 +617,16 @@ class TestCachePolicy:
             _request(addr, "GET", "/devices/power/status")
             _request(addr, "GET", "/devices/power/status", headers={"Pragma": "no-cache"})
             assert sim_v4.request_count == 2
+
+    def test_identical_no_cache_requests_share_one_device_request(self, sim_v4):
+        sim_v4.inject_behavior(latency=0.1)
+        with running(make_config([power_device(sim_v4)])) as gw:
+            no_cache = ("v4", "GET", "/devices/power/status", Headers({"cache-control": "no-cache"}), b"")
+            replies = _front_all(gw, *[no_cache] * 10)
+            assert [reply[::2] for reply in replies] == [(200, OK_BODY)] * 10
+            assert [dict(reply[1])["X-WoT-Cache"] for reply in replies] == ["miss"] + ["hit"] * 9
+            assert sim_v4.request_count == 1
+            assert gw.stats()["pool"]["opened"] == 1
 
     def test_non_json_post_not_cached(self, sim_v4):
         cfg = make_config([power_device(sim_v4)])
@@ -1784,8 +1892,9 @@ class TestLifecycle:
         target.bind(("127.0.0.1", 0))
         target.listen(32)
         conns = []
+        device = DeviceConfig(device_id="target", endpoint=format_hostport(*target.getsockname()))
         try:
-            with running(make_config([])) as gw:
+            with running(make_config([device])) as gw:  # the relay dials registered devices only
                 baseline = threading.active_count()
                 for _ in range(20):  # idle keep-alive client connections
                     conns.append(socket.create_connection(gw.listen_address("v4"), timeout=5.0))
