@@ -10,11 +10,11 @@ connections are persistent HTTP/1.1 and pooled per device: an idle one
 serves the next request whatever its client's family. Devices that stop
 answering are reported with a 503 outage body and probed back to health.
 Both legs speak HTTP/1.1 through the framer of ``wotgw.http11``, whose
-``check_line`` and ``parse_head`` take every request and reply head.
+``take_head`` and ``parse_head`` take every request and reply head.
 
-One event loop on one thread serves every socket of the gateway: client
-connections, pooled device-leg connections and the embedded relay's SOCKS
-sessions with outside clients. A cache hit is answered inside the client
+One event loop on one thread serves every socket of the gateway, each an
+asyncio protocol: client connections, pooled device-leg connections and the
+embedded relay's SOCKS sessions with outside clients. A cache hit is answered inside the client
 connection's ``data_received``; a miss awaits its device connection on the
 same loop.
 """
@@ -74,144 +74,155 @@ class _Unanswered(DeviceError):
     """The connection failed before any response byte arrived (503)."""
 
 
-async def _line(reader: asyncio.StreamReader) -> bytes:
-    """The next line of a reply, its end included; b"" at EOF."""
-    try:
-        line = await reader.readline()
-    except ValueError:  # longer than the reader's limit, MAX_LINE
-        raise http11.FramingError(502, "line too long") from None
-    if line and line[-1:] != b"\n":
-        raise EOFError("device closed inside a line")
-    return line
+class _Upstream(asyncio.Protocol):
+    """A device-leg connection, carrying one exchange at a time: the
+    generator of ``_frame`` frames its reply from ``data`` as bytes arrive."""
 
+    def __init__(self):
+        self.data = bytearray()  # received and not yet taken
+        self.eof = False
+        self.frame = None  # the framer of the reply under way
 
-async def _read_head(reader: asyncio.StreamReader) -> tuple[str, http11.Headers] | None:
-    """One reply head; None when the device closed before sending a byte of it."""
-    lines: list[bytes] = []
-    while line := await _line(reader):
-        if line not in http11.BLANK:
-            http11.check_line(len(line), len(lines))
-            lines.append(line)
-        elif lines:
-            return http11.parse_head(lines)
-    if lines:
-        raise EOFError("device closed inside a head")
-    return None
+    def connection_made(self, transport):
+        self.transport = transport
 
+    def data_received(self, data):
+        self.data += data
+        self._step()
 
-async def _read_chunked(reader: asyncio.StreamReader) -> bytes:
-    """A chunked body (RFC 9112 section 7.1); trailer fields are dropped."""
-    parts, total = [], 0
-    while True:
-        line = await _line(reader)
-        if not line:
-            raise EOFError("device closed inside a chunked body")
-        size = line.partition(b";")[0].strip()
-        if not size or size.strip(b"0123456789abcdefABCDEF"):
-            raise http11.FramingError(502, "bad chunk size")
-        n = int(size, 16)
-        if n == 0:
-            break
-        total += n
-        if total > http11.MAX_BODY_BYTES:
-            raise http11.FramingError(502, "body_too_large")
-        parts.append(await reader.readexactly(n))
-        if await reader.readexactly(2) != b"\r\n":
-            raise http11.FramingError(502, "chunk not followed by CRLF")
-    while (line := await _line(reader)) not in http11.BLANK:
-        if not line:
-            raise EOFError("device closed inside the trailer")
-    return b"".join(parts)
+    def eof_received(self, exc=None):
+        self.eof = True
+        self._step()
 
-
-async def _read_reply(reader: asyncio.StreamReader) -> tuple[int, str, bytes, bool]:
-    """Read one device reply: (status, content type, body, reusable).
-
-    1xx interim replies are skipped. A reply ends at its Content-Length, at
-    its last chunk, or at EOF, and its body may hold at most
-    http11.MAX_BODY_BYTES. The connection is reusable only after an
-    HTTP/1.1 reply framed by length or chunks and without Connection: close.
-    Raises _Unanswered when the connection ends before the reply's first byte.
-    """
-    try:
-        head = await _read_head(reader)
-    except OSError:  # a reset before the reply's first byte
-        head = None
-    if head is None:
-        raise _Unanswered(503, "device closed the connection without answering")
-    while True:
-        start, headers = head
-        version, _, rest = start.partition(" ")
-        code = rest[:3]
-        if (
-            not http11.VERSION.fullmatch(version)
-            or not version.startswith("HTTP/1.")
-            or not (code.isascii() and code.isdigit())
-            or rest[3:4] not in ("", " ")
-            or code < "100"
-        ):
-            raise http11.FramingError(502, f"bad status line {start[:80]!r}")
-        status = int(code)
-        if status >= 200:
-            break
-        head = await _read_head(reader)
-        if head is None:
-            raise EOFError("device closed the connection after an interim reply")
-    connection = headers.get("connection")
-    keep = version != "HTTP/1.0" and not (connection and "close" in http11.tokens(connection))
-    encoding = headers.get("transfer-encoding")
-    length = headers.get("content-length")
-    if status in (204, 304):
-        data = b""
-    elif encoding is not None and http11.tokens(encoding)[-1] == "chunked":
-        data = await _read_chunked(reader)
-        keep = keep and length is None  # both framings: RFC 9112 section 6.1 says close
-    elif encoding is None and length is not None:
-        data = await reader.readexactly(http11.body_length(length))
-    else:  # to EOF, which must come within the cap
-        try:
-            await reader.readexactly(http11.MAX_BODY_BYTES + 1)
-        except asyncio.IncompleteReadError as exc:
-            data, keep = exc.partial, False
-        else:
-            raise http11.FramingError(502, "body_too_large")
-    return status, headers.get("content-type", "application/json"), data, keep
-
-
-class _Upstream:
-    """A device-leg connection, carrying one exchange at a time."""
-
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self.reader, self.writer = reader, writer
+    connection_lost = eof_received  # a reset ends a reply as EOF does
 
     def reusable(self) -> bool:
-        """Open, with nothing unread: no stray bytes, no EOF and no error."""
-        reader = self.reader
-        # a StreamReader shows no public count of its buffered bytes
-        return not (reader._buffer or reader.at_eof() or reader.exception())
+        """Open, with nothing unread: no stray bytes and no EOF."""
+        return not (self.data or self.eof)
 
     def close(self) -> None:
-        self.writer.close()
+        self.transport.close()
 
     async def exchange(self, message: bytes, timeout: float):
-        """Send ``message`` and read the reply; see ``_read_reply``. On any
+        """Send ``message`` and read the reply; see ``_frame``. On any
         failure the connection is closed and this raises DeviceError: 504
         after ``timeout`` seconds, _Unanswered when the connection ended
-        before the reply's first byte, 503 inside the reply, 502 for a reply
-        the framer refuses."""
-        self.writer.write(message)
+        before any reply byte, 503 inside the reply, 502 for a reply the
+        framer refuses."""
+        loop = asyncio.get_running_loop()
+        self.reply = loop.create_future()
+        self.frame = self._frame()
+        timer = loop.call_later(timeout, self._step, DeviceError(504, "device timed out"))
+        self.transport.write(message)
+        self._step()
         try:
-            try:
-                return await asyncio.wait_for(_read_reply(self.reader), timeout)
-            except BaseException:
-                self.close()
-                raise
-        except asyncio.TimeoutError:
-            raise DeviceError(504, "device timed out") from None
-        except (EOFError, OSError) as exc:  # a device that died mid-reply is unavailable, not a protocol error
-            raise DeviceError(503, f"device connection failed: {exc}") from None
+            return await self.reply
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            timer.cancel()
+
+    def _step(self, error: DeviceError | None = None) -> None:
+        """Frame what has arrived, or end the framer with ``error``; settle the
+        reply once it ends. A framer that needs more bytes after EOF ends with
+        503, or _Unanswered when it yielded True: no byte of a reply came.
+        Bytes or EOF when no reply is due put the stream out of step: close."""
+        if self.frame is None or self.reply.done():
+            return self.close()
+        try:
+            unanswered = self.frame.send(None) if error is None else self.frame.throw(error)
+            if not self.eof:
+                return
+            if unanswered:
+                raise _Unanswered(503, "device closed the connection without answering")
+            raise DeviceError(503, "device closed the connection inside a reply")
+        except StopIteration as end:
+            self.reply.set_result(end.value)
+        except DeviceError as exc:
+            self.reply.set_exception(exc)
         except http11.FramingError as exc:
-            raise DeviceError(502, f"malformed HTTP from device: {exc}") from None
+            self.reply.set_exception(DeviceError(502, f"malformed HTTP from device: {exc}"))
+        self.frame = None
+
+    def _frame(self):
+        """Frame one device reply: a generator that yields while it needs
+        more bytes and returns (status, content type, body, reusable).
+
+        1xx interim replies are skipped. A reply ends at its Content-Length,
+        at its last chunk, or at EOF, and its body may hold at most
+        http11.MAX_BODY_BYTES. Only an HTTP/1.1 reply framed by length or
+        chunks and without Connection: close leaves the connection reusable.
+        """
+        data, lines, status = self.data, [], 0
+        while status < 200:
+            while not http11.take_head(data, lines):
+                yield not (status or lines or data)
+            start, headers = http11.parse_head(lines)
+            lines = []
+            version, _, rest = start.partition(" ")
+            code = rest[:3]
+            if (
+                not http11.VERSION.fullmatch(version)
+                or not version.startswith("HTTP/1.")
+                or not (code.isascii() and code.isdigit())
+                or rest[3:4] not in ("", " ")
+                or code < "100"
+            ):
+                raise http11.FramingError(502, f"bad status line {start[:80]!r}")
+            status = int(code)
+        keep = version != "HTTP/1.0" and "close" not in http11.tokens(headers.get("connection", ""))
+        encoding = headers.get("transfer-encoding")
+        length = headers.get("content-length")
+        if status in (204, 304):
+            body = b""
+        elif encoding is not None and http11.tokens(encoding)[-1] == "chunked":
+            body = yield from self._chunks()
+            keep = keep and length is None  # both framings: RFC 9112 section 6.1 says close
+        elif encoding is None and length is not None:
+            n = http11.body_length(length)
+            while len(data) < n:
+                yield
+            body = bytes(data[:n])
+            del data[:n]
+        else:  # to EOF, which must come within the cap
+            while not self.eof and len(data) <= http11.MAX_BODY_BYTES:
+                yield
+            if len(data) > http11.MAX_BODY_BYTES:
+                raise http11.FramingError(502, "body_too_large")
+            body, keep = bytes(data), False
+        return status, headers.get("content-type", "application/json"), body, keep
+
+    def _chunks(self):
+        """A chunked body (RFC 9112 section 7.1). The last-chunk line, the
+        trailer fields and the blank line are taken as one head and dropped."""
+        data, parts, total = self.data, [], 0
+        while True:
+            end = data.find(b"\n") + 1
+            http11.check_line(end or len(data), 0)
+            if not end:
+                yield
+                continue
+            size = data[:end].partition(b";")[0].strip()
+            if not size or size.strip(b"0123456789abcdefABCDEF"):
+                raise http11.FramingError(502, "bad chunk size")
+            n = int(size, 16)
+            if n == 0:
+                break
+            total += n
+            if total > http11.MAX_BODY_BYTES:
+                raise http11.FramingError(502, "body_too_large")
+            del data[:end]
+            while len(data) < n + 2:
+                yield
+            if data[n : n + 2] != b"\r\n":
+                raise http11.FramingError(502, "chunk not followed by CRLF")
+            parts.append(bytes(data[:n]))
+            del data[: n + 2]
+        lines = []
+        while not http11.take_head(data, lines):
+            yield
+        return b"".join(parts)
 
 
 class IdlePool:
@@ -530,11 +541,7 @@ class Gateway(http11.LoopServer):
                 blame=False,
             )
         try:
-            streams = await socks.dial(
-                direct or candidates,
-                self.config.request_timeout_seconds,
-                lambda c: asyncio.open_connection(c.address, c.port, limit=http11.MAX_LINE),
-            )
+            _, conn = await socks.dial(direct or candidates, self.config.request_timeout_seconds, _Upstream)
         except SocksError as exc:
             if relay is not None:
                 relay.stats.sessions_failed += 1
@@ -542,7 +549,7 @@ class Gateway(http11.LoopServer):
         if relay is not None:
             relay.stats.sessions_total += 1
         self.pool_counts["opened"] += 1
-        return _Upstream(*streams)
+        return conn
 
     def forward_to_device(
         self,
@@ -671,7 +678,7 @@ class Gateway(http11.LoopServer):
         status, headers, payload = await asyncio.shield(flight)
         if ("X-WoT-Cache", "miss") not in headers:
             return status, headers, payload
-        return self._device_response(record, status, payload, "hit", count_client=sent)
+        return self._device_response(record, status, payload, "hit", sent, dict(headers)["Content-Type"])
 
     async def _forward_pipeline(
         self,
@@ -699,14 +706,15 @@ class Gateway(http11.LoopServer):
             )
             self._note_health(record, True)
             self.device_leg_bytes += len(body_out) + len(raw)
-            decoded = raw
+            decoded, kind = raw, "application/json"
             if raw:
                 try:
                     decoded = codec.canonical_bytes(codec.decode_keys(codec.parse_json(raw), record.mapping))
                 except (ValueError, TypeError):
                     if 200 <= status < 300:
                         raise DeviceError(502, "unparseable device response body") from None
-                    # non-2xx with a non-JSON body passes through untouched
+                    # a non-2xx non-JSON body passes through, with the device's type if printable
+                    kind = content_type if content_type.isprintable() else "application/octet-stream"
         except DeviceError as exc:
             if exc.blame:
                 self._note_health(record, False)
@@ -716,7 +724,7 @@ class Gateway(http11.LoopServer):
             ttl = record.ttl if record.ttl is not None else self.cache.default_ttl
             self.cache.put(key, CacheEntry(status, decoded, time.monotonic(), ttl))
 
-        return self._device_response(record, status, decoded, "miss", count_client=len(body))
+        return self._device_response(record, status, decoded, "miss", len(body), kind)
 
     # -- response helpers --
 
@@ -737,10 +745,11 @@ class Gateway(http11.LoopServer):
             headers.extend(extra)
         return status, headers, body
 
-    def _device_response(self, record, status, body: bytes, cache_state: str, count_client: int = 0):
+    def _device_response(self, record, status, body: bytes, cache_state: str, count_client: int = 0,
+                         content_type: str = "application/json"):
         self.client_leg_bytes += count_client + len(body)
         headers = [
-            ("Content-Type", "application/json"),
+            ("Content-Type", content_type),
             ("X-WoT-Device", record.device_id),
             ("X-WoT-Cache", cache_state),
         ]

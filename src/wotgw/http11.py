@@ -1,5 +1,5 @@
 """What the gateway, the relay and the device simulator share: the framer,
-whose ``check_line`` and ``parse_head`` take every request and reply head on
+whose ``take_head`` and ``parse_head`` take every request and reply head on
 both gateway legs; ``Connection``, the HTTP/1.1 server connection, an asyncio
 protocol that all three serve; and ``LoopServer``, the base of all three:
 how a server listens, tracks and closes its connections, and runs on its
@@ -69,6 +69,27 @@ def check_line(length: int, index: int) -> None:
         raise FramingError(431 if index else 414, "line_too_long")
     if index > MAX_HEADERS:
         raise FramingError(431, "too_many_headers")
+
+
+def take_head(data: bytearray, lines: list[bytes]) -> bool:
+    """Move the received lines of a head from ``data`` to ``lines``, each
+    passed by check_line; True once its blank line is in. Blank lines
+    before a start line are skipped (RFC 9112 section 2.2)."""
+    pos = 0
+    try:
+        while True:
+            end = data.find(b"\n", pos) + 1
+            if not end:
+                check_line(len(data) - pos, len(lines))
+                return False
+            line, pos = bytes(data[pos:end]), end
+            if line not in BLANK:
+                check_line(len(line), len(lines))
+                lines.append(line)
+            elif lines:
+                return True
+    finally:
+        del data[:pos]
 
 
 def parse_head(lines: list[bytes]) -> tuple[str, Headers]:
@@ -279,7 +300,7 @@ class Connection:
     def _next_request(self):
         """The next whole request as (method, path, headers, body, keep), or None."""
         if self.head is None:
-            if not self._take_head():
+            if not take_head(self.data, self.lines):
                 return None
             self.head = check_request(*parse_head(self.lines), self.methods)
             self.lines = []
@@ -293,26 +314,6 @@ class Connection:
         del data[:length]
         self.head = None
         return method, target, headers, body, keep
-
-    def _take_head(self) -> bool:
-        """Move the received lines of a head to ``lines``; True once its
-        blank line is in. Blank lines before a request line are skipped
-        (RFC 9112 section 2.2)."""
-        data, lines, pos = self.data, self.lines, 0
-        try:
-            while True:
-                end = data.find(b"\n", pos) + 1
-                if not end:
-                    check_line(len(data) - pos, len(lines))
-                    return False
-                line, pos = bytes(data[pos:end]), end
-                if line not in BLANK:
-                    check_line(len(line), len(lines))
-                    lines.append(line)
-                elif lines:
-                    return True
-        finally:
-            del data[:pos]
 
     def _answered(self, method, path, keep, task) -> None:
         self.waiting = False

@@ -262,9 +262,10 @@ async def resolve(host: str, port: int, static_table: dict | None) -> list[Candi
     return resolve_target(host, port, static_table)
 
 
-async def dial(candidates: list[Candidate], timeout: float, connect):
-    """What ``connect(candidate)`` returns for the first candidate that
-    connects, trying them in order, each for ``timeout`` seconds.
+async def dial(candidates: list[Candidate], timeout: float, protocol_factory):
+    """The (transport, protocol) of a connection made with
+    ``protocol_factory`` to the first candidate that connects, trying them
+    in order, each for ``timeout`` seconds.
 
     When none connects, raises SocksError with the reply of the last
     failure: 0x05 for a refusal, 0x04 for a timeout or no candidates, 0x03
@@ -272,10 +273,11 @@ async def dial(candidates: list[Candidate], timeout: float, connect):
     """
     import asyncio
 
+    connect = asyncio.get_running_loop().create_connection
     code = REP_HOST_UNREACHABLE
     for candidate in candidates:
         try:
-            return await asyncio.wait_for(connect(candidate), timeout)
+            return await asyncio.wait_for(connect(protocol_factory, candidate.address, candidate.port), timeout)
         except ConnectionRefusedError:
             code = REP_CONNECTION_REFUSED
         except asyncio.TimeoutError:  # not an OSError before Python 3.11
@@ -467,11 +469,7 @@ class SocksRelayServer(LoopServer):
         together. On failure a SocksError carries the RFC failure reply; see
         ``dial``.
         """
-        transport, target = await dial(
-            candidates,
-            self.connect_timeout,
-            lambda c: self.loop.create_connection(lambda: _Pipe(self, client), c.address, c.port),
-        )
+        transport, target = await dial(candidates, self.connect_timeout, lambda: _Pipe(self, client))
         if client.ended:  # the client left while the target was dialled
             transport.close()
             return

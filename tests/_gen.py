@@ -69,3 +69,39 @@ def leaf_values(value, out=None) -> list:
     else:
         out.append(value)
     return out
+
+
+# Valid device replies, one per framing the device leg reads.
+REPLIES = (
+    b'HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 15\r\n\r\n{"status":"ok"}',
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+    b'6;ext=1\r\n{"stat\r\n9\r\nus":"ok"}\r\n0\r\nX-Trailer: t\r\n\r\n',
+    b'HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 15\r\n\r\n{"status":"ok"}',
+    b'HTTP/1.0 200 OK\r\nContent-Length: 15\r\n\r\n{"status":"ok"}',
+    b'HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{"status":"ok"}',
+    b"HTTP/1.1 204 No Content\r\n\r\n",
+    b"HTTP/1.1 404 Not Found\r\nContent-Type: text/html\r\nContent-Length: 13\r\n\r\n<h1>nope</h1>",
+)
+# Bytes that change how a reply is framed when inserted into it.
+FRAMING_TOKENS = (
+    b"\r\n", b"\n", b"\r\n\r\n", b"0\r\n", b"5\r\n", b";", b":", b" ", b"chunked", b"close",
+    b"Content-Length: 3\r\n", b"Transfer-Encoding: chunked\r\n", b"Connection: close\r\n",
+    b"HTTP/1.1 100 Continue\r\n\r\n",
+)
+
+
+def mutated_reply(rng: random.Random) -> bytes:
+    """A valid device reply of a random framing after up to 3 mutations:
+    a deletion, an inserted framing token, a flipped bit or a truncation."""
+    data = bytearray(rng.choice(REPLIES))
+    for _ in range(rng.randint(0, 3)):
+        roll, at = rng.random(), rng.randint(0, len(data))
+        if roll < 0.3:
+            del data[at : at + rng.randint(1, 4)]
+        elif roll < 0.6:
+            data[at:at] = rng.choice(FRAMING_TOKENS)
+        elif roll < 0.85 and data:
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        else:
+            del data[at:]
+    return bytes(data)

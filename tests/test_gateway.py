@@ -4,6 +4,7 @@ import email.utils
 import http.client
 import json
 import math
+import random
 import socket
 import struct
 import sys
@@ -12,13 +13,15 @@ import time
 
 import pytest
 
+from _gen import mutated_reply
 from wotgw import codec
 from wotgw.cache import CacheEntry, CacheKey
 from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, config_from_dict, format_hostport, load_config
 from wotgw.device import DEFAULT_READINGS, DeviceSimulator
-from wotgw.http11 import MAX_BODY_BYTES, Headers, http_date
+from wotgw.http11 import MAX_BODY_BYTES, MAX_LINE, Headers, http_date
 from wotgw.socks import SocksReplyError, socks_connect
 from wotgw.gateway import (
+    DeviceError,
     DeviceRecord,
     DuplicateDeviceError,
     POOL_IDLE_SECONDS,
@@ -26,7 +29,7 @@ from wotgw.gateway import (
     Gateway,
     IdlePool,
     _normalize_client_ip,
-    _read_reply,
+    _Unanswered,
     _Upstream,
 )
 
@@ -221,6 +224,31 @@ class TestLoopOwnership:
             assert {ident for _, ident in calls} == {gw.thread.ident}
 
 
+class _FakeTransport:
+    """Enough of a transport for a bare _Upstream: it drops what is written."""
+
+    def write(self, data):
+        pass
+
+    def close(self):
+        pass
+
+
+async def _feed(pieces, eof=False):
+    """Start an exchange on a bare _Upstream, feed it ``pieces`` of a reply,
+    then EOF if ``eof``, and let the exchange run: (its task, the connection)."""
+    conn = _Upstream()
+    conn.connection_made(_FakeTransport())
+    reply = asyncio.ensure_future(conn.exchange(b"GET / HTTP/1.1\r\n\r\n", 60))
+    await asyncio.sleep(0)
+    for piece in pieces:
+        conn.data_received(piece)
+    if eof:
+        conn.eof_received()
+    await asyncio.sleep(0)
+    return reply, conn
+
+
 class _IdleConn:
     """Stands in for a pooled device connection."""
 
@@ -275,17 +303,14 @@ class TestIdlePool:
 
     @pytest.mark.parametrize("arrival", ["stray", "eof"])
     def test_bytes_or_eof_while_idle_make_a_connection_unfit(self, arrival):
-        async def fitness():
-            reader = asyncio.StreamReader()
-            conn = _Upstream(reader, None)
-            before = conn.reusable()
-            if arrival == "stray":
-                reader.feed_data(b"stray")
-            else:
-                reader.feed_eof()
-            return before, conn.reusable()
-
-        assert asyncio.run(fitness()) == (True, False)
+        conn = _Upstream()
+        conn.connection_made(_FakeTransport())
+        before = conn.reusable()
+        if arrival == "stray":
+            conn.data_received(b"stray")
+        else:
+            conn.eof_received()
+        assert (before, conn.reusable()) == (True, False)
 
     def test_sweep_and_close(self):
         pool = IdlePool()
@@ -1103,7 +1128,7 @@ class TestDeviceLegPool:
             addr = gw.listen_address("v4")
 
             def pooled_sockets():
-                return [conn.writer.get_extra_info("socket") for record in gw.devices.values()
+                return [conn.transport.get_extra_info("socket") for record in gw.devices.values()
                         for conn, _ in record.pool._idle]
 
             def open_at_devices():
@@ -1261,6 +1286,28 @@ class TestBadDevices:
                 assert doc["error"] == "device_protocol_error"
                 assert doc["device"] == "junk"
                 assert "unparseable" in doc["detail"]
+        finally:
+            canned.close()
+
+    @pytest.mark.parametrize("device_type, client_type", [
+        (b"text/html", "text/html"),
+        (b"text/html\rX-Injected: 1", "application/octet-stream"),
+    ], ids=["printable", "bare-cr"])
+    def test_a_body_passed_through_keeps_the_devices_type(self, device_type, client_type):
+        canned = _CannedServer(
+            b"HTTP/1.1 404 Not Found\r\nContent-Type: " + device_type + b"\r\nContent-Length: 13\r\n"
+            b"Connection: close\r\n\r\n<h1>nope</h1>"
+        )
+        cfg = make_config([DeviceConfig(device_id="junk", endpoint=format_hostport(*canned.address))])
+        try:
+            with running(cfg) as gw:
+                status, headers, body = _request(gw.listen_address("v4"), "GET", "/devices/junk/page")
+                assert (status, headers["Content-Type"], body) == (404, client_type, b"<h1>nope</h1>")
+                assert "X-Injected" not in headers
+                # a miss that joins one in flight is answered with the same type
+                replies = _front_all(gw, *[("v4", "GET", "/devices/junk/other", Headers(), b"")] * 2)
+                assert [dict(headers)["Content-Type"] for _, headers, _ in replies] == [client_type] * 2
+                assert [dict(headers)["X-WoT-Cache"] for _, headers, _ in replies] == ["miss", "hit"]
         finally:
             canned.close()
 
@@ -1745,9 +1792,8 @@ class TestDeviceLegFraming:
     ], ids=["204", "304"])
     def test_replies_without_a_body_read_none(self, payload):
         async def exchange():
-            reader = asyncio.StreamReader()
-            reader.feed_data(payload)
-            return await _read_reply(reader), _Upstream(reader, None).reusable()
+            reply, conn = await _feed([payload])
+            return await reply, conn.reusable()
 
         status = int(payload[9:12])
         assert asyncio.run(exchange()) == ((status, "application/json", b"", True), True)
@@ -1786,12 +1832,8 @@ class TestDeviceLegFraming:
                    b'6\r\n{"stat\r\n9;ext=1\r\nus":"ok"}\r\n0\r\nX-Trailer: t\r\n\r\n')
 
         async def exchange():
-            reader = asyncio.StreamReader()
-            reply = asyncio.ensure_future(_read_reply(reader))
-            for i in range(len(payload)):
-                await asyncio.sleep(0)
-                reader.feed_data(payload[i : i + 1])
-            return await reply, _Upstream(reader, None).reusable()
+            reply, conn = await _feed([payload[i : i + 1] for i in range(len(payload))])
+            return await reply, conn.reusable()
 
         assert asyncio.run(exchange()) == ((200, "application/json", OK_BODY, True), True)
 
@@ -1818,6 +1860,67 @@ class TestDeviceLegFraming:
             status, _, body = _request(gw.listen_address("v4"), "GET", "/devices/d/status")
         assert status == 502
         assert codec.parse_json(body)["error"] == "device_protocol_error"
+
+
+async def _outcome(pieces, eof):
+    """What a bare _Upstream makes of a reply fed as ``pieces``, then EOF if
+    ``eof``: (the reply, reusable), the failure's status ("unanswered" for
+    _Unanswered), or None while the reply is incomplete."""
+    reply, conn = await _feed(pieces, eof)
+    if not reply.done():
+        reply.cancel()
+        return None
+    try:
+        return await reply, conn.reusable()
+    except _Unanswered:
+        return "unanswered"
+    except DeviceError as exc:
+        return exc.status
+
+
+class TestReplyFramer:
+    def test_mutated_replies_are_framed_alike_however_they_arrive(self):
+        rng = random.Random(24)
+        kinds = set()
+
+        async def check(payload):
+            cuts = [0]
+            while cuts[-1] < len(payload):
+                cuts.append(cuts[-1] + rng.randint(1, 7))
+            pieces = [payload[a:b] for a, b in zip(cuts, cuts[1:])]
+            whole = [payload] if payload else []
+            at_eof = await _outcome(whole, True)
+            assert await _outcome(pieces, True) == at_eof, payload
+            cut_short = await _outcome(whole, False)
+            assert await _outcome(pieces, False) == cut_short, payload
+            # before EOF a reply is framed as at EOF, or not yet
+            assert cut_short in (None, at_eof) or cut_short[0] == at_eof[0], payload
+            kinds.add(type(at_eof).__name__ if isinstance(at_eof, tuple) else at_eof)
+
+        async def run():
+            for _ in range(2000):
+                await check(mutated_reply(rng))
+
+        # one thread, so debug mode's thread check has nothing to catch, and its
+        # records of where each task and handle was made take ten times as long
+        asyncio.run(run(), debug=False)
+        assert kinds == {"tuple", 502, 503, "unanswered"}
+
+    def test_eof_right_after_an_interim_reply_is_no_unanswered_request(self):
+        # a reply has begun, so a GET on a reused connection is not sent again
+        assert asyncio.run(_outcome([b"HTTP/1.1 100 Continue\r\n\r\n"], True)) == 503
+
+    def test_a_chunk_size_line_over_the_line_cap_is_refused(self):
+        payload = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                   b"2;" + b"x" * MAX_LINE + b"\r\n{}\r\n0\r\n\r\n")
+        assert asyncio.run(_outcome([payload], False)) == 502
+
+    @pytest.mark.parametrize("fields", [100, 101])
+    def test_a_trailer_of_over_100_fields_is_refused(self, fields):
+        trailer = b"".join(b"X-%d: t\r\n" % i for i in range(fields))
+        payload = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n" + trailer + b"\r\n"
+        ok = ((200, "application/json", b"{}", True), True)
+        assert asyncio.run(_outcome([payload], False)) == (ok if fields == 100 else 502)
 
 
 def _free_ports(host: str, n: int) -> list[int]:
