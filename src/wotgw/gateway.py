@@ -126,17 +126,15 @@ class _Upstream(asyncio.Protocol):
     def _step(self, error: DeviceError | None = None) -> None:
         """Frame what has arrived, or end the framer with ``error``; settle the
         reply once it ends. A framer that needs more bytes after EOF ends with
-        503, or _Unanswered when it yielded True: no byte of a reply came.
-        Bytes or EOF when no reply is due put the stream out of step: close."""
+        503, _Unanswered when it yielded True: no byte of a reply came. Bytes
+        or EOF when no reply is due put the stream out of step: close it."""
         if self.frame is None or self.reply.done():
             return self.close()
         try:
             unanswered = self.frame.send(None) if error is None else self.frame.throw(error)
             if not self.eof:
                 return
-            if unanswered:
-                raise _Unanswered(503, "device closed the connection without answering")
-            raise DeviceError(503, "device closed the connection inside a reply")
+            raise (_Unanswered if unanswered else DeviceError)(503, "device closed the connection")
         except StopIteration as end:
             self.reply.set_result(end.value)
         except DeviceError as exc:
