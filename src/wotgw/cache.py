@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from wotgw import codec
 
@@ -20,7 +20,8 @@ DEFAULT_TTL_SECONDS = 5.0
 
 # parse_body's answer for an empty or non-JSON body, which is digested raw.
 NOT_JSON = object()
-_UNPARSED = object()
+# Stands for a body whose parse_body is not taken yet.
+UNPARSED = object()
 
 
 def parse_body(body: bytes) -> Any:
@@ -33,8 +34,7 @@ def parse_body(body: bytes) -> Any:
     return NOT_JSON
 
 
-@dataclass(frozen=True)
-class CacheKey:
+class CacheKey(NamedTuple):
     device_id: str
     method: str
     path: str
@@ -42,13 +42,13 @@ class CacheKey:
 
     @classmethod
     def for_request(
-        cls, device_id: str, method: str, path: str, body: bytes, doc: Any = _UNPARSED
+        cls, device_id: str, method: str, path: str, body: bytes, doc: Any = UNPARSED
     ) -> "CacheKey":
         """Build a key whose body digest ignores JSON whitespace and key order.
 
         ``doc`` is ``parse_body(body)`` when the caller has it already.
         """
-        if doc is _UNPARSED:
+        if doc is UNPARSED:
             doc = parse_body(body)
         try:
             digest = codec.digest_bytes(body) if doc is NOT_JSON else codec.digest_value(doc)

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 
 from wotgw import codec, http11, socks
-from wotgw.cache import NOT_JSON, CacheEntry, CacheKey, ResponseCache, parse_body
+from wotgw.cache import NOT_JSON, UNPARSED, CacheEntry, CacheKey, ResponseCache, parse_body
 from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, device_config, format_hostport, parse_hostport
 from wotgw.guard import DosGuard
 # socks_connect is not called here; perfbench's traced run patches this name
@@ -147,10 +147,13 @@ class _Upstream(asyncio.Protocol):
         """Frame one device reply: a generator that yields while it needs
         more bytes and returns (status, content type, body, reusable).
 
-        1xx interim replies are skipped. A reply ends at its Content-Length,
-        at its last chunk, or at EOF, and its body may hold at most
-        http11.MAX_BODY_BYTES. Only an HTTP/1.1 reply framed by length or
-        chunks and without Connection: close leaves the connection reusable.
+        The status code is three digits (RFC 9112 section 4), and a reply
+        without Content-Type is typed application/octet-stream (RFC 9110
+        section 8.3). 1xx interim replies are skipped. A reply ends at its
+        Content-Length, at its last chunk, or at EOF, and its body may hold
+        at most http11.MAX_BODY_BYTES. Only an HTTP/1.1 reply framed by
+        length or chunks and without Connection: close leaves the connection
+        reusable.
         """
         data, lines, status = self.data, [], 0
         while status < 200:
@@ -159,12 +162,11 @@ class _Upstream(asyncio.Protocol):
             start, headers = http11.parse_head(lines)
             lines = []
             version, _, rest = start.partition(" ")
-            code = rest[:3]
+            code, _, _ = rest.partition(" ")
             if (
                 not http11.VERSION.fullmatch(version)
                 or not version.startswith("HTTP/1.")
-                or not (code.isascii() and code.isdigit())
-                or rest[3:4] not in ("", " ")
+                or not (len(code) == 3 and code.isascii() and code.isdigit())
                 or code < "100"
             ):
                 raise http11.FramingError(502, f"bad status line {start[:80]!r}")
@@ -189,7 +191,7 @@ class _Upstream(asyncio.Protocol):
             if len(data) > http11.MAX_BODY_BYTES:
                 raise http11.FramingError(502, "body_too_large")
             body, keep = bytes(data), False
-        return status, headers.get("content-type", "application/json"), body, keep
+        return status, headers.get("content-type", "application/octet-stream"), body, keep
 
     def _chunks(self):
         """A chunked body (RFC 9112 section 7.1). The last-chunk line, the
@@ -382,6 +384,9 @@ class Gateway(http11.LoopServer):
         self.device_leg_bytes = 0
         self.pool_counts = {"opened": 0, "reused": 0, "discarded": 0}
         self._inflight: dict[CacheKey, asyncio.Task] = {}
+        # request digest -> canonical body digest of a cacheable request; at
+        # most cache.max_entries of them, the oldest dropped first
+        self._keys: dict[str, str] = {}
 
     @staticmethod
     def _static_table(spec: str) -> dict | None:
@@ -622,15 +627,18 @@ class Gateway(http11.LoopServer):
         """Guard, route, health, family, parse, key and cache lookup: the
         response, or an awaitable answering the miss on the loop. A miss of
         a cacheable key, or a ``no-cache`` request, which skips the lookup,
-        joins the key's task in ``_inflight`` (``_join``) or starts it."""
+        joins the key's task in ``_inflight`` (``_join``) or starts it.
+
+        One digest of the method, the path and the body bytes names the
+        request. The guard counts repeats by it, and ``_keys`` maps it to
+        the body digest of the cache key, so the same bytes again skip the
+        parse and the key's own digest; a miss parses in its flight."""
         now = time.monotonic()
         self.requests_total += 1
 
-        body_digest = codec.digest_bytes(body)
-        request_digest = codec.digest_bytes(
-            f"{method}\n{path}\n{body_digest}".encode("utf-8")
-        )
-        decision = self.guard.record_and_check(client_ip, request_digest, now)
+        # the framer refuses control bytes in a target, so a path holds no "\n"
+        digest = codec.digest_bytes(f"{method}\n{path}\n".encode() + body)
+        decision = self.guard.record_and_check(client_ip, digest, now)
         if not decision.allowed:
             retry = max(1, math.ceil(decision.retry_after or 1))
             return self._json_response(
@@ -652,11 +660,18 @@ class Gateway(http11.LoopServer):
         if self.relay is None and record.family not in (None, listener_family):
             return self._device_error(record, DeviceError(503, "relay disabled"))
 
-        doc = parse_body(body)
-        cacheable = method == "GET" or (method == "POST" and doc is not NOT_JSON)
-        if not (self.config.cache_enabled and cacheable):
-            return self._forward_pipeline(record, method, device_path, body, doc, listener_family, None)
-        key = CacheKey.for_request(device_id, method, device_path, body, doc)
+        body_digest = self._keys.get(digest)
+        if body_digest is not None:
+            doc, key = UNPARSED, CacheKey(device_id, method, device_path, body_digest)
+        else:
+            doc = parse_body(body)
+            cacheable = method == "GET" or (method == "POST" and doc is not NOT_JSON)
+            if not (self.config.cache_enabled and cacheable):
+                return self._forward_pipeline(record, method, device_path, body, doc, listener_family, None)
+            key = CacheKey.for_request(device_id, method, device_path, body, doc)
+            self._keys[digest] = key.body_digest
+            if len(self._keys) > self.cache.max_entries:
+                del self._keys[next(iter(self._keys))]
         cache_control = (headers.get("Cache-Control") or headers.get("Pragma") or "").lower()
         entry = None if "no-cache" in cache_control else self.cache.get(key, time.monotonic())
         if entry is not None:
@@ -688,6 +703,8 @@ class Gateway(http11.LoopServer):
         listener_family: str,
         key: CacheKey | None,
     ) -> tuple[int, list[tuple[str, str]], bytes]:
+        if doc is UNPARSED:
+            doc = parse_body(body)
         body_out = body
         if doc is not NOT_JSON:
             try:

@@ -90,16 +90,52 @@ FRAMING_TOKENS = (
 )
 
 
+# Valid client requests: hot-read's power query in four spellings, a GET, a
+# HEAD, a POST that expects 100 Continue, and an HTTP/1.0 GET.
+POWER_SPELLINGS = (
+    b'{"values":[{"NoOfDevices":[2],"window":5}],"unit":"W"}',
+    b'{\n  "unit": "W",\n  "values": [ { "NoOfDevices": [2], "window": 5 } ]\n}',
+    b'{"values":[{"window":5,"NoOfDevices":[2]}],"unit":"W"}',
+    b'{\n  "unit": "W",\n  "values": [ { "window": 5, "NoOfDevices": [2] } ]\n}',
+)
+REQUESTS = tuple(
+    b"POST /devices/power/power HTTP/1.1\r\nHost: gw\r\nContent-Type: application/json\r\n"
+    b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+    for body in POWER_SPELLINGS
+) + (
+    b"GET /devices/power/status HTTP/1.1\r\nHost: gw\r\n\r\n",
+    b"HEAD /devices/power/status HTTP/1.1\r\nHost: gw\r\n\r\n",
+    b"POST /devices/power/power HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: %d\r\n\r\n%s"
+    % (len(POWER_SPELLINGS[0]), POWER_SPELLINGS[0]),
+    b"GET /devices/power/status HTTP/1.0\r\n\r\n",
+)
+# Bytes that change how a request is framed when inserted into it.
+REQUEST_TOKENS = (
+    b"\r\n", b"\n", b"\r\n\r\n", b" ", b"\t", b":", b"/", b"\x00", b"HTTP/1.0", b"HTTP/2.0",
+    b"\r\nContent-Length: 3", b"\r\nContent-Length: 2000000", b"\r\nTransfer-Encoding: chunked",
+    b"\r\nConnection: close", b"\r\nExpect: 100-continue", b"\r\nCache-Control: no-cache",
+)
+
+
 def mutated_reply(rng: random.Random) -> bytes:
     """A valid device reply of a random framing after up to 3 mutations:
     a deletion, an inserted framing token, a flipped bit or a truncation."""
-    data = bytearray(rng.choice(REPLIES))
+    return _mutated(rng, REPLIES, FRAMING_TOKENS)
+
+
+def mutated_request(rng: random.Random) -> bytes:
+    """A valid client request after up to 3 mutations, as in mutated_reply."""
+    return _mutated(rng, REQUESTS, REQUEST_TOKENS)
+
+
+def _mutated(rng: random.Random, messages, tokens) -> bytes:
+    data = bytearray(rng.choice(messages))
     for _ in range(rng.randint(0, 3)):
         roll, at = rng.random(), rng.randint(0, len(data))
         if roll < 0.3:
             del data[at : at + rng.randint(1, 4)]
         elif roll < 0.6:
-            data[at:at] = rng.choice(FRAMING_TOKENS)
+            data[at:at] = rng.choice(tokens)
         elif roll < 0.85 and data:
             data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
         else:

@@ -5,6 +5,7 @@ import http.client
 import json
 import math
 import random
+import re
 import socket
 import struct
 import sys
@@ -13,12 +14,12 @@ import time
 
 import pytest
 
-from _gen import mutated_reply
+from _gen import mutated_reply, mutated_request
 from wotgw import codec
 from wotgw.cache import CacheEntry, CacheKey
 from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, config_from_dict, format_hostport, load_config
 from wotgw.device import DEFAULT_READINGS, DeviceSimulator
-from wotgw.http11 import MAX_BODY_BYTES, MAX_LINE, Headers, http_date
+from wotgw.http11 import CONTINUE, MAX_BODY_BYTES, MAX_LINE, Headers, http_date
 from wotgw.socks import SocksReplyError, socks_connect
 from wotgw.gateway import (
     DeviceError,
@@ -225,13 +226,46 @@ class TestLoopOwnership:
 
 
 class _FakeTransport:
-    """Enough of a transport for a bare _Upstream: it drops what is written."""
+    """Enough of a transport for a bare _Upstream or _ClientLeg: it keeps
+    each message written and whether reading is paused."""
+
+    def __init__(self):
+        self.writes = []
+        self.paused = self.closed = False
+
+    def get_extra_info(self, name):
+        return ("127.0.0.1", 50000)
 
     def write(self, data):
+        self.writes.append(bytes(data))
+
+    def write_eof(self):
         pass
 
+    def is_closing(self):
+        return self.closed
+
     def close(self):
-        pass
+        self.closed = True
+
+    def pause_reading(self):
+        self.paused = True
+
+    def resume_reading(self):
+        self.paused = False
+
+
+def _bare_gateway(device: DeviceConfig, **over) -> Gateway:
+    """An unstarted gateway with ``device``, whose device leg answers every
+    request at once with 200 and the JSON ``{"ND":2}``."""
+    gw = Gateway(make_config([device], **over))
+    gw.register_device_config(device)
+
+    async def forward(record, method, path, body, family):
+        return 200, "application/json", b'{"ND":2}'
+
+    gw._forward = forward
+    return gw
 
 
 async def _feed(pieces, eof=False):
@@ -699,7 +733,7 @@ class TestCachePolicy:
             del calls[:]
             status, headers, _ = _request(addr, "POST", "/devices/power/power", QUERY_LONG)
             assert (status, headers["X-WoT-Cache"]) == (200, "hit")
-            assert len(calls) == 1
+            assert len(calls) == 0  # the same bytes again: their key is remembered
 
     def test_equivalent_json_bodies_share_entry(self, sim_v4):
         cfg = make_config([power_device(sim_v4)])
@@ -820,6 +854,68 @@ class TestCachePolicy:
             assert sim_v4.request_count == 1
 
 
+class TestKeyMemo:
+    """``Gateway._keys`` remembers the cache key of a cacheable request's bytes."""
+
+    @staticmethod
+    def _gateway():
+        return _bare_gateway(DeviceConfig(device_id="d", endpoint="127.0.0.1:9"), cache_max_entries=16)
+
+    @staticmethod
+    async def _send(gw, method, path, body=b""):
+        return await _settle(gw._front("10.0.0.1", "v4", method, path, Headers(), body))
+
+    def test_the_memo_keeps_the_newest_cache_max_entries(self, monkeypatch):
+        gw = self._gateway()
+        parse, parsed = codec.parse_json, []
+        monkeypatch.setattr(codec, "parse_json", lambda data: parsed.append(data) or parse(data))
+        bodies = [b'{"n":%d}' % i for i in range(gw.cache.max_entries + 50)]
+
+        async def scenario():
+            for body in bodies:
+                await self._send(gw, "POST", "/devices/d/q", body)
+            assert len(gw._keys) == gw.cache.max_entries
+            del parsed[:]
+            hit = await self._send(gw, "POST", "/devices/d/q", bodies[-1])
+            assert ("X-WoT-Cache", "hit") in hit[1]
+            assert parsed == []  # remembered: neither the request nor a reply is parsed
+            await self._send(gw, "POST", "/devices/d/q", bodies[0])
+            assert parsed == [bodies[0], b'{"ND":2}']  # forgotten: the request, then the device's reply
+            assert len(gw._keys) == gw.cache.max_entries
+
+        asyncio.run(scenario())
+
+    def test_a_memo_entry_holds_two_digests_however_long_the_path(self):
+        gw = self._gateway()
+
+        async def scenario():
+            for i in range(gw.cache.max_entries + 50):
+                await self._send(gw, "GET", "/devices/d/%d/%s" % (i, "a" * 60000))
+
+        asyncio.run(scenario())
+        assert len(gw._keys) == gw.cache.max_entries
+        assert {(len(request), len(body)) for request, body in gw._keys.items()} == {(64, 64)}
+
+    def test_a_remembered_request_reaches_a_replaced_device(self, sim_v4):
+        other = DeviceSimulator(bind=("127.0.0.1", 0), power_save_idle=0.0).start()
+        try:
+            with running(make_config([power_device(sim_v4)])) as gw:
+                addr = gw.listen_address("v4")
+                for state in ("miss", "hit"):
+                    status, headers, _ = _request(addr, "POST", "/devices/power/power", QUERY_LONG)
+                    assert (status, headers["X-WoT-Cache"]) == (200, state)
+                remembered = dict(gw._keys)
+                assert len(remembered) == 1
+                doc = {"endpoint": format_hostport(*other.address), "mapping": POWER_MAP, "replace": True}
+                assert _request(addr, "PUT", "/admin/devices/power", json.dumps(doc).encode())[0] == 200
+                status, headers, body = _request(addr, "POST", "/devices/power/power", QUERY_LONG)
+                assert (status, headers["X-WoT-Cache"], body) == (200, "miss", TWO_DEVICE_LONG)
+                assert gw._keys == remembered
+            assert (sim_v4.request_count, other.request_count) == (1, 1)
+        finally:
+            other.stop()
+
+
 class TestGuardIntegration:
     def test_429_with_retry_after(self, sim_v4):
         cfg = make_config(
@@ -862,6 +958,25 @@ class TestGuardIntegration:
             assert gw.handle_client_request("10.0.0.1", *args)[0] == 200
             assert gw.handle_client_request("10.0.0.1", *args)[0] == 429
             assert gw.handle_client_request("10.0.0.2", *args)[0] == 200
+
+    def test_a_repeat_is_the_same_bytes_not_the_same_query(self, sim_v4):
+        spellings = [
+            QUERY_LONG,
+            b'{ "values" : [ { "NoOfDevices" : [2] } ] }',
+            b'{"values":[{"NoOfDevices":[ 2 ]}]}',
+            b'\n{"values": [{"NoOfDevices": [2]}]}\n',
+        ]
+        cfg = make_config([power_device(sim_v4)], dos_repeat_limit=3, dos_block_seconds=60.0)
+        with running(cfg) as gw:
+            addr = gw.listen_address("v4")
+            for body in spellings * 2:
+                assert _request(addr, "POST", "/devices/power/power", body)[0] == 200
+            assert gw.stats()["cache"]["entries"] == 1
+            assert sim_v4.request_count == 1
+            for _ in range(3):
+                assert _request(addr, "POST", "/devices/power/power", QUERY_LONG)[0] == 200
+            status, _, body = _request(addr, "POST", "/devices/power/power", QUERY_LONG)
+            assert (status, codec.parse_json(body)["reason"]) == (429, "repeat_burst")
 
     def test_repeat_burst_blocked_over_http(self, sim_v4):
         cfg = make_config(
@@ -1311,6 +1426,18 @@ class TestBadDevices:
         finally:
             canned.close()
 
+    def test_a_body_passed_through_without_a_type_is_octet_stream(self):
+        canned = _CannedServer(
+            b"HTTP/1.1 404 Not Found\r\nContent-Length: 11\r\nConnection: close\r\n\r\nplain words"
+        )
+        cfg = make_config([DeviceConfig(device_id="junk", endpoint=format_hostport(*canned.address))])
+        try:
+            with running(cfg) as gw:
+                status, headers, body = _request(gw.listen_address("v4"), "GET", "/devices/junk/page")
+        finally:
+            canned.close()
+        assert (status, headers["Content-Type"], body) == (404, "application/octet-stream", b"plain words")
+
     def test_non_http_reply_becomes_502(self):
         canned = _CannedServer(b"garbage that is not an http status line\r\n\r\n")
         cfg = make_config(
@@ -1666,6 +1793,73 @@ class TestClientLeg:
             assert _request(addr, "GET", "/devices/power/status")[0] == 200
 
 
+async def _client_leg_writes(gw, pieces):
+    """What a bare _ClientLeg of ``gw`` writes for a request fed as
+    ``pieces``, then EOF, each once reading is not paused: one message per
+    write, its Date line blanked."""
+    leg = gw.accept("v4")
+    transport = _FakeTransport()
+    leg.connection_made(transport)
+    for piece in [*pieces, None]:
+        while transport.paused:
+            await asyncio.sleep(0)
+        if transport.closed:
+            break
+        if piece is None:
+            leg.eof_received()
+        else:
+            leg.data_received(piece)
+    while leg.waiting:
+        await asyncio.sleep(0)
+    leg.connection_lost(None)
+    return [re.sub(rb"\r\nDate: [^\r]*", b"\r\nDate: -", message) for message in transport.writes]
+
+
+RESPONSE_HEAD = re.compile(rb"HTTP/1\.1 (\d{3}) [^\r\n]*\r\n((?:[^\r\n:]+: [^\r\n]*\r\n)*)\r\n")
+FRAMER_STATUSES = {400, 411, 413, 414, 431, 501, 505}
+
+
+def _status_of(message: bytes, head: bool) -> int:
+    """The status of one well-formed response message; a reply to a HEAD
+    request (``head``) may omit its content."""
+    if message == CONTINUE:
+        return 100
+    match = RESPONSE_HEAD.match(message)
+    assert match, message
+    fields = dict(line.split(b": ", 1) for line in match[2].splitlines())
+    content = message[match.end() :]
+    assert len(content) == int(fields[b"Content-Length"]) or (head and not content), message
+    return int(match[1])
+
+
+class TestRequestFramer:
+    def test_mutated_requests_are_answered_alike_however_they_arrive(self):
+        device = DeviceConfig(device_id="power", endpoint="127.0.0.1:9", mapping_inline=dict(POWER_MAP))
+        gw = _bare_gateway(device, relay_enabled=False)
+        rng = random.Random(26)
+        seen = set()
+
+        async def check(request):
+            cuts = [0]
+            while cuts[-1] < len(request):
+                cuts.append(cuts[-1] + rng.randint(1, 7))
+            pieces = [request[a:b] for a, b in zip(cuts, cuts[1:])]
+            gw.cache.clear()  # so that both deliveries miss alike
+            whole = await _client_leg_writes(gw, [request])
+            gw.cache.clear()
+            assert await _client_leg_writes(gw, pieces) == whole, request
+            statuses = [_status_of(message, b"HEAD" in request) for message in whole]
+            assert set(statuses) <= FRAMER_STATUSES | {100, 200, 404}, (request, whole)
+            seen.update(statuses)
+
+        async def run():
+            for _ in range(2000):
+                await check(mutated_request(rng))
+
+        asyncio.run(run(), debug=False)  # see TestReplyFramer
+        assert seen == FRAMER_STATUSES - {414, 431} | {100, 200, 404}  # those two take 64 KiB lines
+
+
 class _ScriptedDevice:
     """Answers each request head with one fixed byte string, like _CannedServer,
     but keeps the connection open afterwards unless ``close`` is set."""
@@ -1796,7 +1990,7 @@ class TestDeviceLegFraming:
             return await reply, conn.reusable()
 
         status = int(payload[9:12])
-        assert asyncio.run(exchange()) == ((status, "application/json", b"", True), True)
+        assert asyncio.run(exchange()) == ((status, "application/octet-stream", b"", True), True)
 
     def test_concurrent_misses_share_an_outage_as_is(self):
         device = _ScriptedDevice(b"")  # accepts, reads and never answers
@@ -1835,7 +2029,7 @@ class TestDeviceLegFraming:
             reply, conn = await _feed([payload[i : i + 1] for i in range(len(payload))])
             return await reply, conn.reusable()
 
-        assert asyncio.run(exchange()) == ((200, "application/json", OK_BODY, True), True)
+        assert asyncio.run(exchange()) == ((200, "application/octet-stream", OK_BODY, True), True)
 
     def test_bytes_past_the_reply_discard_the_connection(self):
         payload = b"HTTP/1.1 200 OK\r\nContent-Length: 15\r\n\r\n" + OK_BODY + b"EXTRA"
@@ -1906,6 +2100,17 @@ class TestReplyFramer:
         asyncio.run(run(), debug=False)
         assert kinds == {"tuple", 502, 503, "unanswered"}
 
+    @pytest.mark.parametrize("code", [b"20", b"5"])
+    def test_a_status_code_of_fewer_than_three_digits_is_a_protocol_error(self, code):
+        async def exchange():
+            reply, _ = await _feed([b"HTTP/1.1 " + code + b"\r\nContent-Length: 2\r\n\r\n{}"], eof=True)
+            with pytest.raises(DeviceError) as failed:
+                await reply
+            return failed.value
+
+        error = asyncio.run(exchange())
+        assert (error.status, error.blame) == (502, False)
+
     def test_eof_right_after_an_interim_reply_is_no_unanswered_request(self):
         # a reply has begun, so a GET on a reused connection is not sent again
         assert asyncio.run(_outcome([b"HTTP/1.1 100 Continue\r\n\r\n"], True)) == 503
@@ -1919,7 +2124,7 @@ class TestReplyFramer:
     def test_a_trailer_of_over_100_fields_is_refused(self, fields):
         trailer = b"".join(b"X-%d: t\r\n" % i for i in range(fields))
         payload = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n" + trailer + b"\r\n"
-        ok = ((200, "application/json", b"{}", True), True)
+        ok = ((200, "application/octet-stream", b"{}", True), True)
         assert asyncio.run(_outcome([payload], False)) == (ok if fields == 100 else 502)
 
 
