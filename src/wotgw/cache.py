@@ -9,7 +9,7 @@ deterministic.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from wotgw import codec
@@ -63,13 +63,17 @@ class CacheEntry:
     body: bytes
     stored_at: float
     ttl: float
-
-    @property
-    def size(self) -> int:
-        return len(self.body)
+    # the reply its hits send, made by the gateway at the first hit
+    reply: Any = field(default=None, compare=False, repr=False)
 
     def fresh(self, now: float) -> bool:
         return now < self.stored_at + self.ttl
+
+
+def _size(key: CacheKey, entry: CacheEntry) -> int:
+    """What an entry counts against max_bytes: its body and its key's path,
+    which the client chooses."""
+    return len(entry.body) + len(key.path)
 
 
 class ResponseCache:
@@ -99,7 +103,7 @@ class ResponseCache:
             return None
         if not entry.fresh(now):
             del self._entries[key]
-            self._bytes -= entry.size
+            self._bytes -= _size(key, entry)
             self.expirations += 1
             self.misses += 1
             return None
@@ -115,16 +119,17 @@ class ResponseCache:
         """
         if not 200 <= entry.status < 300:
             return False
-        if entry.size > self.max_bytes or self.max_entries < 1:
+        size = _size(key, entry)
+        if size > self.max_bytes or self.max_entries < 1:
             return False
         old = self._entries.pop(key, None)
         if old is not None:
-            self._bytes -= old.size
+            self._bytes -= _size(key, old)
         self._entries[key] = entry
-        self._bytes += entry.size
+        self._bytes += size
         while len(self._entries) > self.max_entries or self._bytes > self.max_bytes:
-            _, victim = self._entries.popitem(last=False)
-            self._bytes -= victim.size
+            victim_key, victim = self._entries.popitem(last=False)
+            self._bytes -= _size(victim_key, victim)
             self.evictions += 1
         return True
 
@@ -132,7 +137,7 @@ class ResponseCache:
         """Drop every entry for ``device_id``; returns the number removed."""
         doomed = [k for k in self._entries if k.device_id == device_id]
         for k in doomed:
-            self._bytes -= self._entries.pop(k).size
+            self._bytes -= _size(k, self._entries.pop(k))
         return len(doomed)
 
     def clear(self) -> None:

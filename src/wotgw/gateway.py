@@ -10,7 +10,7 @@ connections are persistent HTTP/1.1 and pooled per device: an idle one
 serves the next request whatever its client's family. Devices that stop
 answering are reported with a 503 outage body and probed back to health.
 Both legs speak HTTP/1.1 through the framer of ``wotgw.http11``, whose
-``take_head`` and ``parse_head`` take every request and reply head.
+``HeadReader`` and ``parse_head`` take every request and reply head.
 
 One event loop on one thread serves every socket of the gateway, each an
 asyncio protocol: client connections, pooled device-leg connections and the
@@ -155,12 +155,11 @@ class _Upstream(asyncio.Protocol):
         length or chunks and without Connection: close leaves the connection
         reusable.
         """
-        data, lines, status = self.data, [], 0
+        data, reader, status = self.data, http11.HeadReader(self.data), 0
         while status < 200:
-            while not http11.take_head(data, lines):
-                yield not (status or lines or data)
-            start, headers = http11.parse_head(lines)
-            lines = []
+            while (head := reader.take()) is None:
+                yield not (status or data)
+            start, headers = http11.parse_head(head)
             version, _, rest = start.partition(" ")
             code, _, _ = rest.partition(" ")
             if (
@@ -219,8 +218,8 @@ class _Upstream(asyncio.Protocol):
                 raise http11.FramingError(502, "chunk not followed by CRLF")
             parts.append(bytes(data[:n]))
             del data[: n + 2]
-        lines = []
-        while not http11.take_head(data, lines):
+        trailer = http11.HeadReader(data)
+        while trailer.take() is None:
             yield
         return b"".join(parts)
 
@@ -675,7 +674,11 @@ class Gateway(http11.LoopServer):
         cache_control = (headers.get("Cache-Control") or headers.get("Pragma") or "").lower()
         entry = None if "no-cache" in cache_control else self.cache.get(key, time.monotonic())
         if entry is not None:
-            return self._device_response(record, entry.status, entry.body, "hit", count_client=len(body))
+            self.client_leg_bytes += len(body) + len(entry.body)
+            if entry.reply is None:  # the first hit renders the header block of every hit
+                fields = http11.Prepared(self._device_fields(record, "hit"), entry.body)
+                entry.reply = entry.status, fields, entry.body
+            return entry.reply
         flight = self._inflight.get(key)
         if flight is not None:
             return self._join(flight, record, len(body))
@@ -763,12 +766,11 @@ class Gateway(http11.LoopServer):
     def _device_response(self, record, status, body: bytes, cache_state: str, count_client: int = 0,
                          content_type: str = "application/json"):
         self.client_leg_bytes += count_client + len(body)
-        headers = [
-            ("Content-Type", content_type),
-            ("X-WoT-Device", record.device_id),
-            ("X-WoT-Cache", cache_state),
-        ]
-        return status, headers, body
+        return status, self._device_fields(record, cache_state, content_type), body
+
+    @staticmethod
+    def _device_fields(record, cache_state: str, content_type: str = "application/json"):
+        return [("Content-Type", content_type), ("X-WoT-Device", record.device_id), ("X-WoT-Cache", cache_state)]
 
     # -- admin --
 

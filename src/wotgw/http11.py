@@ -1,6 +1,7 @@
 """What the gateway, the relay and the device simulator share: the framer,
-whose ``take_head`` and ``parse_head`` take every request and reply head on
-both gateway legs; ``Connection``, the HTTP/1.1 server connection, an asyncio
+whose ``HeadReader`` and ``parse_head`` take every request and reply head on
+both gateway legs, and ``CheckedHeads``, which remembers the request heads
+that repeat; ``Connection``, the HTTP/1.1 server connection, an asyncio
 protocol that all three serve; and ``LoopServer``, the base of all three:
 how a server listens, tracks and closes its connections, and runs on its
 loop thread.
@@ -13,6 +14,7 @@ import logging
 import re
 import threading
 import time
+from array import array
 from contextlib import suppress
 from http import HTTPStatus
 
@@ -32,9 +34,18 @@ MAX_BODY_BYTES = 1024 * 1024
 MAX_LINE = 64 * 1024
 MAX_HEADERS = 100
 VERSION = re.compile(r"HTTP/(\d)\.(\d)")
+# CheckedHeads keeps at most MEMO_HEADS heads, each shorter than
+# MEMO_HEAD_BYTES, and remembers first sightings in MEMO_SIGHTINGS slots.
+MEMO_HEADS = 256
+MEMO_HEAD_BYTES = 4096
+MEMO_SIGHTINGS = 1024
 # Spaces and control bytes never belong to a request target.
 _BAD_TARGET = re.compile(r"[\x00-\x20\x7f]")
-BLANK = (b"\r\n", b"\n")
+# A head ends at a line end followed by a blank line; line ends may be bare LF.
+_HEAD_END = re.compile(rb"\n\r?\n")
+_BLANK_LINES = re.compile(rb"(?:\r?\n)+")
+_BLANK_LINE_FIRST = (b"\r", b"\n")  # the first byte of a blank line
+_BLANK_SO_FAR = (b"", b"\r")  # a line under way that may yet be blank
 JSON_TYPE = ("Content-Type", "application/json")
 INTERNAL = 500, [JSON_TYPE], b'{"error":"internal"}'
 CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
@@ -53,12 +64,20 @@ class FramingError(ValueError):
 
 
 class Headers(dict):
-    """Header fields by lower-cased name; ``get`` takes any spelling."""
+    """Header fields by lower-cased name; ``get`` takes any spelling.
+
+    Read-only: a server's CheckedHeads hands one to every request whose
+    head has the same bytes."""
 
     __slots__ = ()
 
     def get(self, name, default=None):
         return dict.get(self, name.lower(), default)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("Headers are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
 
 
 def check_line(length: int, index: int) -> None:
@@ -71,50 +90,101 @@ def check_line(length: int, index: int) -> None:
         raise FramingError(431, "too_many_headers")
 
 
-def take_head(data: bytearray, lines: list[bytes]) -> bool:
-    """Move the received lines of a head from ``data`` to ``lines``, each
-    passed by check_line; True once its blank line is in. Blank lines
-    before a start line are skipped (RFC 9112 section 2.2)."""
-    pos = 0
-    try:
-        while True:
-            end = data.find(b"\n", pos) + 1
-            if not end:
-                check_line(len(data) - pos, len(lines))
-                return False
-            line, pos = bytes(data[pos:end]), end
-            if line not in BLANK:
-                check_line(len(line), len(lines))
-                lines.append(line)
-            elif lines:
-                return True
-    finally:
-        del data[:pos]
+class HeadReader:
+    """Takes each message head from the front of a receive buffer, ``data``.
+
+    ``take`` returns a head's bytes, from its start line through its blank
+    line, and removes them from ``data``; None while the blank line is
+    still to come. Line ends may be bare LF, and blank lines before a start
+    line are dropped (RFC 9112 section 2.2). A call searches only the bytes
+    that arrived since the last one, and a line end just before them that
+    a blank line may follow, so a head that arrives a byte at a time costs
+    time linear in its length. Each line passes check_line as its bytes
+    arrive: a line too long, or one field too many, raises FramingError at
+    once.
+    """
+
+    __slots__ = ("data", "searched", "lines", "line_start")
+
+    def __init__(self, data: bytearray):
+        self.data = data
+        self.searched = 0  # bytes of data searched for the head's end
+        self.lines = 0  # the head's lines ended before searched
+        self.line_start = 0  # where the line under way at searched starts
+
+    def take(self) -> bytes | None:
+        data, pos = self.data, self.searched
+        if not data:
+            return None
+        if not self.lines and data[:1] in _BLANK_LINE_FIRST:
+            blank = _BLANK_LINES.match(data)
+            if blank:
+                del data[: blank.end()]
+                self.searched = pos = 0
+        if pos and data[pos - 1] == 10:  # a LF that a blank line may follow
+            pos -= 1
+        elif pos > 1 and data[pos - 2 : pos] == b"\n\r":
+            pos -= 2
+        found = _HEAD_END.search(data, pos)
+        if found is None:
+            self._arrived()
+            return None
+        end = found.end()
+        head = bytes(data[:end])
+        del data[:end]
+        self.searched = self.lines = self.line_start = 0
+        # only a head this long, or of this many lines, can break a cap
+        if end > MAX_LINE or head.count(b"\n") > MAX_HEADERS + 2:
+            for index, line in enumerate(head.split(b"\n")[:-2]):
+                check_line(len(line) + 1, index)
+        return head
+
+    def _arrived(self) -> None:
+        """Check the lines of a head still arriving, up to the end of data."""
+        data, searched = self.data, self.searched
+        if len(data) - self.line_start > MAX_LINE:  # one of these lines may be too long
+            *ended, partial = bytes(data[self.line_start :]).split(b"\n")
+            for index, line in enumerate(ended, self.lines):
+                check_line(len(line) + 1, index)
+            if len(partial) > MAX_LINE:
+                raise FramingError(431 if self.lines + len(ended) else 414, "line_too_long")
+        ended = data.count(b"\n", searched)
+        if ended:
+            self.lines += ended
+            self.line_start = data.rfind(b"\n", searched) + 1
+        # the lines ended are the start line and fields; past MAX_HEADERS
+        # fields, only the blank line may follow
+        if self.lines > MAX_HEADERS + 1 or (
+            self.lines > MAX_HEADERS and data[self.line_start :] not in _BLANK_SO_FAR
+        ):
+            raise FramingError(431, "too_many_headers")
+        self.searched = len(data)
 
 
-def parse_head(lines: list[bytes]) -> tuple[str, Headers]:
-    """A message head from its lines, each passed by check_line: the start
+def parse_head(head: bytes) -> tuple[str, Headers]:
+    """A message head from its bytes, as HeadReader takes them: the start
     line and the header fields (RFC 9112 section 5).
 
     Raises FramingError 400 for obs-fold, whitespace before a colon, or two
     different Content-Length values. Repeated fields are joined with ", ".
     """
-    headers = Headers()
-    for line in lines[1:]:
-        name, colon, value = line.decode("latin-1").partition(":")
+    lines = head.decode("latin-1").split("\n")
+    fields = {}
+    for line in lines[1:-2]:  # the last two: the blank line and what follows its LF
+        name, colon, value = line.partition(":")
         # a leading space or tab is obs-fold; one before the colon is also refused
         if not colon or not name or " " in name or "\t" in name:
             raise FramingError(400, "bad_header")
         name = name.lower()
-        value = value.strip(" \t\r\n")
-        if name in headers:
+        value = value.strip(" \t\r")
+        if name in fields:
             if name == "content-length":
-                if headers[name] != value:
+                if fields[name] != value:
                     raise FramingError(400, "bad_content_length")
                 continue
-            value = f"{headers[name]}, {value}"
-        headers[name] = value
-    return lines[0].rstrip(b"\r\n").decode("latin-1"), headers
+            value = f"{fields[name]}, {value}"
+        fields[name] = value
+    return lines[0].rstrip("\r"), Headers(fields)
 
 
 def check_request(start: str, headers: Headers, methods) -> tuple:
@@ -147,6 +217,39 @@ def check_request(start: str, headers: Headers, methods) -> tuple:
         # another host; collapse it against open redirects (CPython gh-87389)
         target = "/" + target.lstrip("/")
     return method, target, headers, length, keep, expect
+
+
+class CheckedHeads:
+    """The checked request heads that repeat, by their exact bytes: a server
+    answers a head it has seen before without parsing or checking it again.
+
+    A head is kept on its second sighting; the first leaves only its hash,
+    in a slot of a fixed array, so heads that never repeat keep nothing
+    alive. At most MEMO_HEADS heads are kept, the oldest dropped first, and
+    none of MEMO_HEAD_BYTES or more. A head that fails its check is never
+    kept. The connections of one server share it, and their ``methods``.
+    """
+
+    def __init__(self):
+        self.heads: dict[bytes, tuple] = {}
+        self.sightings = array("q", bytes(8 * MEMO_SIGHTINGS))
+
+    def check(self, head: bytes, methods) -> tuple:
+        """check_request for ``head``, a whole head as HeadReader takes it."""
+        checked = self.heads.get(head)
+        if checked is not None:
+            return checked
+        checked = check_request(*parse_head(head), methods)
+        if len(head) < MEMO_HEAD_BYTES:
+            seen = hash(head)
+            slot = seen % MEMO_SIGHTINGS
+            if self.sightings[slot] != seen:
+                self.sightings[slot] = seen
+            else:
+                self.heads[head] = checked
+                if len(self.heads) > MEMO_HEADS:
+                    del self.heads[next(iter(self.heads))]
+        return checked
 
 
 def valid_path(path) -> bool:
@@ -192,15 +295,34 @@ def _date_line(second: int) -> bytes:
     return b"Date: %s\r\n" % http_date(second).encode()
 
 
+@functools.lru_cache(maxsize=8)
+def _server_line(server: str) -> bytes:
+    return b"Server: %s\r\n" % server.encode()
+
+
+def _field_lines(headers, payload: bytes) -> bytes:
+    fields = "".join(f"{name}: {value}\r\n" for name, value in headers)
+    return fields.encode("latin-1") + b"Content-Length: %d\r\n" % len(payload)
+
+
+class Prepared(tuple):
+    """Response header fields, (name, value) pairs, rendered once with the
+    Content-Length of ``payload``: for a reply sent many times with that
+    payload, such as a cache hit."""
+
+    def __new__(cls, fields, payload: bytes):
+        self = super().__new__(cls, fields)
+        self.block = _field_lines(self, payload)
+        return self
+
+
 def render(status: int, headers, payload: bytes, keep: bool, server: str) -> bytes:
     """One response, with Server, Date and Content-Length, as one string."""
-    fields = "".join(f"{name}: {value}\r\n" for name, value in headers)
     return b"".join((
         _STATUS_LINES.get(status) or b"HTTP/1.1 %d \r\n" % status,
-        b"Server: %s\r\n" % server.encode(),
+        _server_line(server),
         _date_line(int(time.time())),
-        fields.encode("latin-1"),
-        b"Content-Length: %d\r\n" % len(payload),
+        headers.block if isinstance(headers, Prepared) else _field_lines(headers, payload),
         b"\r\n" if keep else b"Connection: close\r\n\r\n",
         payload,
     ))
@@ -227,7 +349,7 @@ class Connection:
     def __init__(self, server: LoopServer):
         self.server = server
         self.data = bytearray()  # received and not yet taken
-        self.lines: list[bytes] = []  # the lines of a head still arriving
+        self.reader = HeadReader(self.data)
         self.head = None  # a checked head whose body is still arriving
         self.waiting = False  # an awaited reply is outstanding
         self.writable = True
@@ -300,10 +422,10 @@ class Connection:
     def _next_request(self):
         """The next whole request as (method, path, headers, body, keep), or None."""
         if self.head is None:
-            if not take_head(self.data, self.lines):
+            head = self.reader.take()
+            if head is None:
                 return None
-            self.head = check_request(*parse_head(self.lines), self.methods)
-            self.lines = []
+            self.head = self.server.heads.check(head, self.methods)
             if self.head[5]:
                 self.transport.write(CONTINUE)
         method, target, headers, length, keep, _ = self.head
@@ -366,6 +488,7 @@ class LoopServer:
         self._listen = listen
         self._servers = {}
         self._connections = set()  # what accept returned, while connected
+        self.heads = CheckedHeads()  # of the requests its connections take
 
     def accept(self, family: str):
         raise NotImplementedError

@@ -117,6 +117,31 @@ REQUEST_TOKENS = (
 )
 
 
+# Valid SOCKS5 client openings, a greeting and a request each: CONNECT to an
+# IPv4, an IPv6 and a named target, a name the resolver lacks, a greeting
+# offering no usable method, BIND and UDP ASSOCIATE.
+SOCKS_OPENINGS = (
+    b"\x05\x01\x00" + b"\x05\x01\x00\x01\x7f\x00\x00\x01\x00\x50",
+    b"\x05\x02\x02\x00" + b"\x05\x01\x00\x04" + b"\x00" * 15 + b"\x01\x1f\x90",
+    b"\x05\x01\x00" + b"\x05\x01\x00\x03\x06device\x00\x50",
+    b"\x05\x01\x00" + b"\x05\x01\x00\x03\x05ghost\x00\x50",
+    b"\x05\x01\x02" + b"\x05\x01\x00\x01\x7f\x00\x00\x01\x00\x50",
+    b"\x05\x01\x00" + b"\x05\x02\x00\x01\x7f\x00\x00\x01\x00\x50",
+    b"\x05\x01\x00" + b"\x05\x03\x00\x01\x7f\x00\x00\x01\x00\x50",
+)
+# Bytes that change how a SOCKS5 message is read when inserted into it: versions,
+# method counts, commands, address types and lengths.
+SOCKS_TOKENS = (
+    b"\x05", b"\x04", b"\x00", b"\x01", b"\x02", b"\x03", b"\xff", b"\x05\x01\x00",
+    b"\x05\x01\x00\x03", b"\x00\x00", b"\xff" * 4,
+)
+
+
+def mutated_socks(rng: random.Random) -> bytes:
+    """A valid SOCKS5 opening after up to 3 mutations, as in mutated_reply."""
+    return _mutated(rng, SOCKS_OPENINGS, SOCKS_TOKENS)
+
+
 def mutated_reply(rng: random.Random) -> bytes:
     """A valid device reply of a random framing after up to 3 mutations:
     a deletion, an inserted framing token, a flipped bit or a truncation."""
@@ -126,6 +151,14 @@ def mutated_reply(rng: random.Random) -> bytes:
 def mutated_request(rng: random.Random) -> bytes:
     """A valid client request after up to 3 mutations, as in mutated_reply."""
     return _mutated(rng, REQUESTS, REQUEST_TOKENS)
+
+
+def in_pieces(rng: random.Random, data: bytes) -> list[bytes]:
+    """``data`` cut into pieces of 1 to 7 bytes."""
+    cuts = [0]
+    while cuts[-1] < len(data):
+        cuts.append(cuts[-1] + rng.randint(1, 7))
+    return [data[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _mutated(rng: random.Random, messages, tokens) -> bytes:

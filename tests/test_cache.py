@@ -71,24 +71,43 @@ class TestCapacity:
         assert c.entry_count == 0
 
     def test_oversize_entry_rejected(self):
-        c = ResponseCache(max_bytes=4)
+        c = ResponseCache(max_bytes=6)  # each key's path, "/a" or "/b", counts 2
         assert not c.put(key("a"), entry(b"12345"))
         assert c.put(key("b"), entry(b"1234"))
 
     def test_byte_cap_evicts_lru(self):
-        c = ResponseCache(max_bytes=10)
-        c.put(key("a"), entry(b"aaaa"))
+        c = ResponseCache(max_bytes=16)
+        c.put(key("a"), entry(b"aaaa"))  # 4 bytes of body and 2 of path
         c.put(key("b"), entry(b"bbbb"))
-        c.put(key("c"), entry(b"cccc"))  # 12 bytes > 10: a evicted
+        c.put(key("c"), entry(b"cccc"))  # 18 bytes > 16: a evicted
         assert c.get(key("a"), 0.0) is None
-        assert c.byte_count == 8
+        assert c.byte_count == 12
 
     def test_replace_same_key_accounts_bytes(self):
         c = ResponseCache(max_bytes=10)
         c.put(key("a"), entry(b"aaaa"))
         c.put(key("a"), entry(b"aaaaaa"))
-        assert c.byte_count == 6
+        assert c.byte_count == 8
         assert c.entry_count == 1
+
+    def test_a_keys_path_counts_against_the_byte_cap(self):
+        # a client chooses the path, up to a 64 KiB request line
+        c = ResponseCache(max_bytes=1000)
+        paths = ["/" + "p" * 400 + str(n) for n in range(3)]
+        for path in paths:
+            assert c.put(CacheKey("dev", "GET", path, "digest"), entry(b"{}"))
+        assert c.entry_count == 2 and c.byte_count == 2 * (2 + 402)
+        assert c.get(CacheKey("dev", "GET", paths[0], "digest"), 0.0) is None
+        c.invalidate_device("dev")
+        assert c.byte_count == 0
+        assert not c.put(CacheKey("dev", "GET", "/" + "p" * 1000, "digest"), entry(b""))
+
+    def test_an_expired_entry_gives_back_its_path_bytes(self):
+        c = ResponseCache()
+        c.put(CacheKey("dev", "GET", "/" + "p" * 99, "digest"), entry(b"{}", now=0.0, ttl=1.0))
+        assert c.byte_count == 102
+        assert c.get(CacheKey("dev", "GET", "/" + "p" * 99, "digest"), 2.0) is None
+        assert c.byte_count == 0
 
 
 class TestInvalidate:
@@ -169,7 +188,7 @@ def test_randomized_against_reference_model():
             ttl = rng.choice([0.5, 2.0, 8.0])
             status = rng.choice([200, 200, 200, 404])
             stored = cache.put(k, CacheEntry(status, b"x" * size, now, ttl))
-            expect = model.put(k, now, ttl, size, status)
+            expect = model.put(k, now, ttl, size + len(k.path), status)
             assert stored == expect, f"put mismatch at step {step}"
         assert cache.entry_count == len(model.entries)
         assert cache.byte_count == model.total()

@@ -1,4 +1,5 @@
 import asyncio
+import collections
 import contextlib
 import email.utils
 import http.client
@@ -14,12 +15,12 @@ import time
 
 import pytest
 
-from _gen import mutated_reply, mutated_request
+from _gen import in_pieces, mutated_reply, mutated_request
 from wotgw import codec
 from wotgw.cache import CacheEntry, CacheKey
 from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, config_from_dict, format_hostport, load_config
 from wotgw.device import DEFAULT_READINGS, DeviceSimulator
-from wotgw.http11 import CONTINUE, MAX_BODY_BYTES, MAX_LINE, Headers, http_date
+from wotgw.http11 import CONTINUE, MAX_BODY_BYTES, MAX_LINE, MEMO_HEADS, Headers, http_date
 from wotgw.socks import SocksReplyError, socks_connect
 from wotgw.gateway import (
     DeviceError,
@@ -1837,17 +1838,36 @@ class TestRequestFramer:
         device = DeviceConfig(device_id="power", endpoint="127.0.0.1:9", mapping_inline=dict(POWER_MAP))
         gw = _bare_gateway(device, relay_enabled=False)
         rng = random.Random(26)
-        seen = set()
+        seen = collections.Counter()
+        checked = []  # the heads the server checked for one delivery, each with whether it passed
+        check_head = gw.heads.check
+
+        def recording(head, methods):
+            checked.append([head, False])
+            answer = check_head(head, methods)
+            checked[-1][1] = True
+            return answer
+
+        gw.heads.check = recording
+        remembered = 0
 
         async def check(request):
-            cuts = [0]
-            while cuts[-1] < len(request):
-                cuts.append(cuts[-1] + rng.randint(1, 7))
-            pieces = [request[a:b] for a, b in zip(cuts, cuts[1:])]
-            gw.cache.clear()  # so that both deliveries miss alike
-            whole = await _client_leg_writes(gw, [request])
+            nonlocal remembered
+            pieces = in_pieces(rng, request)
+            # whole three times: on the second sighting a head that passed is
+            # kept, so the third is answered from the server's CheckedHeads
+            deliveries = []
+            for _ in range(3):
+                gw.cache.clear()  # so that every delivery misses alike
+                checked.clear()
+                deliveries.append(await _client_leg_writes(gw, [request]))
+            if len(checked) == 1 and checked[0][1]:  # alone, so no other head took its sighting slot
+                assert checked[0][0] in gw.heads.heads, request
+                remembered += 1
             gw.cache.clear()
-            assert await _client_leg_writes(gw, pieces) == whole, request
+            deliveries.append(await _client_leg_writes(gw, pieces))
+            whole = deliveries[0]
+            assert deliveries == [whole] * 4, request
             statuses = [_status_of(message, b"HEAD" in request) for message in whole]
             assert set(statuses) <= FRAMER_STATUSES | {100, 200, 404}, (request, whole)
             seen.update(statuses)
@@ -1857,7 +1877,42 @@ class TestRequestFramer:
                 await check(mutated_request(rng))
 
         asyncio.run(run(), debug=False)  # see TestReplyFramer
-        assert seen == FRAMER_STATUSES - {414, 431} | {100, 200, 404}  # those two take 64 KiB lines
+        # the statuses of the framer that took each head line by line; 414 and
+        # 431 take 64 KiB lines
+        assert seen == {100: 134, 200: 838, 400: 474, 404: 117, 411: 5, 413: 1, 501: 34, 505: 3}
+        assert remembered > 1000
+        assert len(gw.heads.heads) <= MEMO_HEADS
+
+
+class TestCheckedHeadsOnTheClientLeg:
+    @staticmethod
+    def _gateway():
+        device = DeviceConfig(device_id="power", endpoint="127.0.0.1:9", mapping_inline=dict(POWER_MAP))
+        return _bare_gateway(device, relay_enabled=False)
+
+    def test_a_remembered_expect_head_gets_100_continue_on_every_request(self):
+        gw = self._gateway()
+        head = (b"POST /devices/power/power HTTP/1.1\r\nExpect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(QUERY_LONG))
+        writes = asyncio.run(_client_leg_writes(gw, [head, QUERY_LONG] * 3))
+        assert [_status_of(message, False) for message in writes] == [100, 200] * 3
+        assert head in gw.heads.heads
+
+    def test_two_pipelined_requests_in_one_buffer(self):
+        gw = self._gateway()
+        post = b"POST /devices/power/power HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(QUERY_LONG)
+        writes = asyncio.run(_client_leg_writes(gw, [post + QUERY_LONG + STATUS_GET + b"\r\n"]))
+        assert [_status_of(message, False) for message in writes] == [200, 200]
+        assert gw.cache.stats()["misses"] == 2
+
+    def test_a_head_of_100_fields_is_served_whatever_the_pieces(self):
+        # the framer that took heads line by line refused this one with 431
+        # when a piece ended just after the 100th field's line end
+        fields = b"".join(b"X-%d: v\r\n" % i for i in range(99))  # and Host
+        request = STATUS_GET + fields + b"\r\n"
+        cut = len(request) - 2
+        writes = asyncio.run(_client_leg_writes(self._gateway(), [request[:cut], request[cut:]]))
+        assert [_status_of(message, False) for message in writes] == [200]
 
 
 class _ScriptedDevice:
@@ -2076,12 +2131,10 @@ class TestReplyFramer:
     def test_mutated_replies_are_framed_alike_however_they_arrive(self):
         rng = random.Random(24)
         kinds = set()
+        statuses = collections.Counter()
 
         async def check(payload):
-            cuts = [0]
-            while cuts[-1] < len(payload):
-                cuts.append(cuts[-1] + rng.randint(1, 7))
-            pieces = [payload[a:b] for a, b in zip(cuts, cuts[1:])]
+            pieces = in_pieces(rng, payload)
             whole = [payload] if payload else []
             at_eof = await _outcome(whole, True)
             assert await _outcome(pieces, True) == at_eof, payload
@@ -2090,6 +2143,7 @@ class TestReplyFramer:
             # short of EOF a reply is framed as at EOF, reusable or not, or not yet
             assert cut_short in (None, at_eof) or (isinstance(cut_short, tuple) and cut_short[0] == at_eof[0])
             kinds.add(type(at_eof).__name__ if isinstance(at_eof, tuple) else at_eof)
+            statuses[at_eof[0][0] if isinstance(at_eof, tuple) else at_eof] += 1
 
         async def run():
             for _ in range(2000):
@@ -2099,6 +2153,9 @@ class TestReplyFramer:
         # records of where each task and handle was made take ten times as long
         asyncio.run(run(), debug=False)
         assert kinds == {"tuple", 502, 503, "unanswered"}
+        # the outcomes of the framer that took each head line by line
+        assert statuses == {200: 687, 204: 114, 210: 1, 224: 1, 244: 1, 404: 152, 502: 605, 503: 428,
+                            600: 1, "unanswered": 10}
 
     @pytest.mark.parametrize("code", [b"20", b"5"])
     def test_a_status_code_of_fewer_than_three_digits_is_a_protocol_error(self, code):

@@ -1,5 +1,8 @@
+import asyncio
+import collections
 import hashlib
 import random
+import re
 import socket
 import struct
 import threading
@@ -7,6 +10,7 @@ import time
 
 import pytest
 
+from _gen import in_pieces, mutated_socks
 from wotgw.socks import (
     ATYP_DOMAIN,
     CMD_BIND,
@@ -23,6 +27,7 @@ from wotgw.socks import (
     SocksError,
     SocksRelayServer,
     SocksReplyError,
+    _Pipe,
     build_connect_request,
     encode_reply,
     load_static_table,
@@ -548,3 +553,83 @@ class TestLiveRelay:
         v6 = relay.listen_address("v6")
         assert v4[0] == "127.0.0.1" and v4[1] > 0
         assert v6[0] == "::1" and v6[1] > 0
+
+
+# --- the wire, seeded -------------------------------------------------------------
+
+
+class _PipeTransport:
+    """Enough of a transport for a bare _Pipe: it keeps what is written and
+    whether reading is paused or the connection closed."""
+
+    def __init__(self):
+        self.writes = []
+        self.paused = self.closed = False
+
+    def get_extra_info(self, name):
+        return ("127.0.0.1", 50000)
+
+    def write(self, data):
+        assert not self.closed
+        self.writes.append(bytes(data))
+
+    def write_eof(self):
+        pass
+
+    def close(self):
+        self.closed = True
+
+    def pause_reading(self):
+        self.paused = True
+
+    def resume_reading(self):
+        self.paused = False
+
+
+class _NoDialRelay(SocksRelayServer):
+    """A relay that answers a CONNECT it would dial with success, and ends
+    the session instead of dialling."""
+
+    async def establish_and_pump(self, client, candidates):
+        client.transport.write(encode_reply(REP_SUCCESS, ("127.0.0.1", 1)))
+        client.end()
+
+
+# no bytes, a method selection, or one followed by a reply with an IPv4 or IPv6 address
+SOCKS_ANSWER = re.compile(rb"(?:\x05\xff|\x05\x00(?:\x05([\x00-\x08])\x00(?:\x01.{6}|\x04.{18}))?)?", re.S)
+
+
+class TestSocksWire:
+    def test_mutated_openings_end_in_a_reply_or_a_close(self):
+        rng = random.Random(28)
+        relay = _NoDialRelay(listen_v4=None, listen_v6=None, static_table={"device": (("v4", "127.0.0.1"),)})
+        answers = collections.Counter()
+
+        async def check(opening):
+            transport, pipe = _PipeTransport(), _Pipe(relay)
+            pipe.connection_made(transport)
+            for piece in in_pieces(rng, opening):
+                if transport.paused:  # a request was read; its target is being dialled
+                    await pipe.task
+                if transport.closed:
+                    break
+                pipe.data_received(piece)
+            if pipe.task is not None:
+                await pipe.task
+            if not transport.closed:
+                pipe.eof_received()
+            pipe.connection_lost(None)
+            assert transport.closed, opening
+            answer = SOCKS_ANSWER.fullmatch(b"".join(transport.writes))
+            assert answer, (opening, transport.writes)
+            answers[answer[1][0] if answer[1] else b"".join(transport.writes)[:2]] += 1
+
+        async def run():
+            relay.loop = asyncio.get_running_loop()
+            for _ in range(2000):
+                await check(mutated_socks(rng))
+
+        asyncio.run(run(), debug=False)  # one thread; see TestReplyFramer in test_gateway.py
+        assert relay._connections == set()
+        # success, general failure, host unreachable, command and address type not supported
+        assert {0, 1, 4, 7, 8, b"\x05\xff", b"\x05\x00", b""} <= set(answers), answers
