@@ -2,9 +2,10 @@
 
 A scenario describes the client mix; the runner stands up a simulated device
 on one address family, a gateway listening on the other, drives the client
-threads, and reports latency percentiles plus the device/client leg byte and
-request counters. Counters are deltas over the measured phase only, so warmup
-traffic (cache filling, connection setup) is excluded.
+threads, and reports throughput and latency percentiles plus the
+device/client leg byte and request counters. Counters are deltas over the
+measured phase only, so warmup traffic (cache filling, connection setup) is
+excluded.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ class BenchReport:
     bytes_on_device_leg: int
     bytes_on_client_leg: int
     errors: int
+    # responses received in the measured phase per second of its wall time,
+    # from the start gate to the last client's end; 0.0 in older reports
+    throughput_rps: float = 0.0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -227,11 +231,14 @@ def run_scenario(
         ]
         for c in clients:
             c.start()
+        started = time.perf_counter()
         gate.set()
         for c in clients:
             c.join()
+        wall = time.perf_counter() - started
 
         latencies = sorted(ms for c in clients for ms in c.latencies_ms)
+        throughput = len(latencies) / wall
         errors = sum(c.errors for c in clients)
         total = scenario.clients * scenario.requests_per_client
         device_requests = sim.request_count - before_device
@@ -252,6 +259,7 @@ def run_scenario(
             bytes_on_device_leg=dev_bytes,
             bytes_on_client_leg=cli_bytes,
             errors=errors,
+            throughput_rps=throughput,
         )
     finally:
         gateway.stop()
@@ -268,10 +276,10 @@ def load_report(path: str) -> BenchReport:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     names = {f.name for f in fields(BenchReport)}
-    missing = names - set(doc)
+    missing = names - set(doc) - {"throughput_rps"}
     if missing:
         raise ValueError(f"report missing fields: {sorted(missing)}")
-    return BenchReport(**{k: doc[k] for k in names})
+    return BenchReport(**{k: doc[k] for k in names if k in doc})
 
 
 _COMPARE_METRICS = tuple(f.name for f in fields(BenchReport) if f.name != "scenario")

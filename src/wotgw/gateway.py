@@ -14,13 +14,17 @@ Both legs speak HTTP/1.1 through the framer of ``wotgw.http11``, whose
 
 One event loop on one thread serves every socket of the gateway, each an
 asyncio protocol: client connections, pooled device-leg connections and the
-embedded relay's SOCKS sessions with outside clients. A cache hit is answered inside the client
-connection's ``data_received``; a miss awaits its device connection on the
-same loop.
+embedded relay's SOCKS sessions with outside clients. A cache hit is
+answered inside the client connection's ``data_received``. A miss writes its
+request to an idle pooled device connection there too, and the callback that
+ends the device's reply settles the miss's flight, a future that the client
+connection answers from; only a miss that must open a device connection runs
+a task, which dials it.
 """
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import json
 import logging
@@ -74,14 +78,28 @@ class _Unanswered(DeviceError):
     """The connection failed before any response byte arrived (503)."""
 
 
+def _complete(future: asyncio.Future, outcome) -> None:
+    """Settle ``future`` with ``outcome``, an exception or a result, unless
+    it is done already: its waiter may have cancelled it."""
+    if future.done():
+        return
+    if isinstance(outcome, BaseException):
+        future.set_exception(outcome)
+    else:
+        future.set_result(outcome)
+
+
 class _Upstream(asyncio.Protocol):
     """A device-leg connection, carrying one exchange at a time: the
-    generator of ``_frame`` frames its reply from ``data`` as bytes arrive."""
+    generator of ``_frame`` frames its reply from ``data`` as bytes arrive,
+    and ``done`` hears how the exchange ended."""
 
     def __init__(self):
         self.data = bytearray()  # received and not yet taken
         self.eof = False
         self.frame = None  # the framer of the reply under way
+        self.done = None  # called with the reply under way or its failure
+        self.timer = None  # ends the reply under way with 504
 
     def connection_made(self, transport):
         self.transport = transport
@@ -101,34 +119,31 @@ class _Upstream(asyncio.Protocol):
         return not (self.data or self.eof)
 
     def close(self) -> None:
+        """Close the connection; an exchange under way ends without calling back."""
+        if self.frame is not None:
+            self._end()
         self.transport.close()
 
-    async def exchange(self, message: bytes, timeout: float):
-        """Send ``message`` and read the reply; see ``_frame``. On any
-        failure the connection is closed and this raises DeviceError: 504
-        after ``timeout`` seconds, _Unanswered when the connection ended
-        before any reply byte, 503 inside the reply, 502 for a reply the
-        framer refuses."""
-        loop = asyncio.get_running_loop()
-        self.reply = loop.create_future()
+    def send(self, message: bytes, timeout: float, done) -> None:
+        """Send ``message`` and frame the reply (``_frame``), then call
+        ``done`` with it, (status, content type, body, reusable), or with a
+        DeviceError once the connection is closed: 504 after ``timeout``
+        seconds, _Unanswered when the connection ended before any reply
+        byte, 503 inside the reply, 502 for a reply the framer refuses. The
+        call comes from the callback that ended the reply."""
+        self.done = done
         self.frame = self._frame()
-        timer = loop.call_later(timeout, self._step, DeviceError(504, "device timed out"))
+        loop = asyncio.get_running_loop()
+        self.timer = loop.call_later(timeout, self._step, DeviceError(504, "device timed out"))
         self.transport.write(message)
         self._step()
-        try:
-            return await self.reply
-        except BaseException:
-            self.close()
-            raise
-        finally:
-            timer.cancel()
 
     def _step(self, error: DeviceError | None = None) -> None:
-        """Frame what has arrived, or end the framer with ``error``; settle the
-        reply once it ends. A framer that needs more bytes after EOF ends with
+        """Frame what has arrived, or end the framer with ``error``; call back
+        once it ends. A framer that needs more bytes after EOF ends with
         503, _Unanswered when it yielded True: no byte of a reply came. Bytes
         or EOF when no reply is due put the stream out of step: close it."""
-        if self.frame is None or self.reply.done():
+        if self.frame is None:
             return self.close()
         try:
             unanswered = self.frame.send(None) if error is None else self.frame.throw(error)
@@ -136,12 +151,20 @@ class _Upstream(asyncio.Protocol):
                 return
             raise (_Unanswered if unanswered else DeviceError)(503, "device closed the connection")
         except StopIteration as end:
-            self.reply.set_result(end.value)
+            outcome = end.value
         except DeviceError as exc:
-            self.reply.set_exception(exc)
+            outcome = exc
         except http11.FramingError as exc:
-            self.reply.set_exception(DeviceError(502, f"malformed HTTP from device: {exc}"))
-        self.frame = None
+            outcome = DeviceError(502, f"malformed HTTP from device: {exc}")
+        done = self.done
+        self._end()
+        if isinstance(outcome, DeviceError):
+            self.transport.close()
+        done(outcome)
+
+    def _end(self) -> None:
+        self.timer.cancel()
+        self.frame = self.done = self.timer = None
 
     def _frame(self):
         """Frame one device reply: a generator that yields while it needs
@@ -344,9 +367,10 @@ class Gateway(http11.LoopServer):
     ``start`` runs the event loop thread that serves every socket and alone
     writes that state; the other public methods are for callers off that
     loop and do their work on it.
-    Stopping closes the listeners, every client connection, the device-leg
-    pools and the relay's sessions, so peers read EOF, and cancels the
-    requests still waiting for a device.
+    Stopping closes the listeners, every client connection, every device
+    connection, idle or with an exchange under way, and the relay's
+    sessions, so peers read EOF; the requests still waiting for a device
+    are not answered.
     """
 
     thread_name = "gateway-loop"
@@ -382,7 +406,9 @@ class Gateway(http11.LoopServer):
         self.client_leg_bytes = 0
         self.device_leg_bytes = 0
         self.pool_counts = {"opened": 0, "reused": 0, "discarded": 0}
-        self._inflight: dict[CacheKey, asyncio.Task] = {}
+        self._inflight: dict[CacheKey, asyncio.Future] = {}
+        self._busy: set[_Upstream] = set()  # device connections with an exchange under way
+        self._dials: set[asyncio.Task] = set()  # the loop keeps only weak references to tasks
         # request digest -> canonical body digest of a cacheable request; at
         # most cache.max_entries of them, the oldest dropped first
         self._keys: dict[str, str] = {}
@@ -419,6 +445,12 @@ class Gateway(http11.LoopServer):
 
     async def close(self) -> None:
         await super().close()
+        for task in self._dials:  # none may hand a new connection an exchange after this
+            task.cancel()
+        await asyncio.gather(*self._dials, return_exceptions=True)
+        for conn in list(self._busy):
+            conn.close()
+        self._busy.clear()
         for record in self.devices.values():
             record.pool.close()
         if self.relay is not None:
@@ -565,34 +597,64 @@ class Gateway(http11.LoopServer):
         return self.run(self._forward(record, method, path, body, listener_family))
 
     async def _forward(self, record, method, path, body, listener_family) -> tuple[int, str, bytes]:
-        """Send the coded request to the device, directly or across the relay.
+        """``_exchange``'s reply, awaited: (status, content_type, body). Raises DeviceError."""
+        reply = asyncio.get_running_loop().create_future()
+        self._exchange(record, method, path, body, listener_family, functools.partial(_complete, reply))
+        return await reply
 
-        Uses the device's pooled keep-alive connection when a live one is
-        idle, whatever the client's family, or opens one (``_leg``). A GET
+    def _exchange(self, record, method, path, body, listener_family, done) -> None:
+        """Send the coded request to the device, directly or across the
+        relay, and call ``done`` with the reply, (status, content_type,
+        body), or with the exception that ended it, a DeviceError unless the
+        gateway is at fault.
+
+        An idle pooled keep-alive connection, whatever the client's family,
+        takes the request at once, and the callback that ends its reply
+        calls ``done``. With none, a task opens one (``_dial``) first. A GET
         whose reused connection dies before any response byte is sent once
-        more on a new connection (RFC 9112 section 9.3.1). Returns (status,
-        content_type, body). Raises DeviceError.
+        more on a new connection (RFC 9112 section 9.3.1).
         """
-        conn = record.pool.take(time.monotonic())
         request = self._request_bytes(record, method, path, body)
-        retry = conn is not None and method == "GET"
-        while True:
-            conn = conn or await self._leg(record, listener_family)
+        conn = record.pool.take(time.monotonic())
+        if conn is None:
+            self._dial(record, request, listener_family, done)
+        else:
+            self._send(record, conn, request, listener_family, done, method == "GET")
+
+    def _dial(self, record, request: bytes, listener_family, done) -> None:
+        """Open a connection to the device in a task and send ``request`` on it."""
+
+        async def dial():
             try:
-                status, content_type, data, keep = await conn.exchange(
-                    request, self.config.request_timeout_seconds
-                )
-            except _Unanswered:
-                if not retry:
-                    raise
+                conn = await self._leg(record, listener_family)
+            except Exception as exc:
+                return done(exc)
+            self._send(record, conn, request, listener_family, done, False)
+
+        task = asyncio.get_running_loop().create_task(dial())
+        self._dials.add(task)
+        task.add_done_callback(self._dials.discard)
+
+    def _send(self, record, conn: _Upstream, request: bytes, listener_family, done, retry: bool) -> None:
+        self._busy.add(conn)
+        conn.send(request, self.config.request_timeout_seconds,
+                  functools.partial(self._replied, record, conn, request, listener_family, done, retry))
+
+    def _replied(self, record, conn, request, listener_family, done, retry, outcome) -> None:
+        """Hand ``conn`` back to the pool or close it, then call ``done``,
+        or dial once more when a reused connection died unanswered."""
+        self._busy.discard(conn)
+        if isinstance(outcome, DeviceError):  # conn is closed
+            if retry and isinstance(outcome, _Unanswered):
                 record.pool.discard(conn)  # it was cut while idle
-                conn, retry = None, False
-                continue
-            if keep:
-                record.pool.give(conn, time.monotonic())
-            else:
-                conn.close()
-            return status, content_type, data
+                return self._dial(record, request, listener_family, done)
+            return done(outcome)
+        status, content_type, data, keep = outcome
+        if keep:
+            record.pool.give(conn, time.monotonic())
+        else:
+            conn.close()
+        done((status, content_type, data))
 
     @staticmethod
     def _request_bytes(record: DeviceRecord, method: str, path: str, body: bytes) -> bytes:
@@ -624,9 +686,10 @@ class Gateway(http11.LoopServer):
 
     def _front(self, client_ip, listener_family, method, path, headers, body):
         """Guard, route, health, family, parse, key and cache lookup: the
-        response, or an awaitable answering the miss on the loop. A miss of
-        a cacheable key, or a ``no-cache`` request, which skips the lookup,
-        joins the key's task in ``_inflight`` (``_join``) or starts it.
+        response, or an awaitable answering the miss on the loop. A miss
+        starts its flight (``_miss``); one of a cacheable key, or a
+        ``no-cache`` request, which skips the lookup, joins the key's flight
+        in ``_inflight`` (``_join``) instead when there is one.
 
         One digest of the method, the path and the body bytes names the
         request. The guard counts repeats by it, and ``_keys`` maps it to
@@ -666,7 +729,7 @@ class Gateway(http11.LoopServer):
             doc = parse_body(body)
             cacheable = method == "GET" or (method == "POST" and doc is not NOT_JSON)
             if not (self.config.cache_enabled and cacheable):
-                return self._forward_pipeline(record, method, device_path, body, doc, listener_family, None)
+                return self._miss(record, method, device_path, body, doc, listener_family, None)
             key = CacheKey.for_request(device_id, method, device_path, body, doc)
             self._keys[digest] = key.body_digest
             if len(self._keys) > self.cache.max_entries:
@@ -682,13 +745,9 @@ class Gateway(http11.LoopServer):
         flight = self._inflight.get(key)
         if flight is not None:
             return self._join(flight, record, len(body))
-        flight = self._inflight[key] = asyncio.create_task(
-            self._forward_pipeline(record, method, device_path, body, doc, listener_family, key)
-        )
-        flight.add_done_callback(lambda _: self._inflight.get(key) is flight and self._inflight.pop(key))
-        return flight
+        return self._miss(record, method, device_path, body, doc, listener_family, key)
 
-    async def _join(self, flight: asyncio.Task, record: DeviceRecord, sent: int):
+    async def _join(self, flight: asyncio.Future, record: DeviceRecord, sent: int):
         """The answer of the identical miss in flight: a device answer as a
         hit, an outage or protocol error as is."""
         status, headers, payload = await asyncio.shield(flight)
@@ -696,16 +755,11 @@ class Gateway(http11.LoopServer):
             return status, headers, payload
         return self._device_response(record, status, payload, "hit", sent, dict(headers)["Content-Type"])
 
-    async def _forward_pipeline(
-        self,
-        record: DeviceRecord,
-        method: str,
-        device_path: str,
-        body: bytes,
-        doc,
-        listener_family: str,
-        key: CacheKey | None,
-    ) -> tuple[int, list[tuple[str, str]], bytes]:
+    def _miss(self, record: DeviceRecord, method: str, device_path: str, body: bytes, doc,
+              listener_family: str, key: CacheKey | None):
+        """Encode the body and send it to the device (``_exchange``): the
+        flight, a future of the response, which is in ``_inflight`` under
+        ``key``, unless that is None, until ``_land`` settles it."""
         if doc is UNPARSED:
             doc = parse_body(body)
         body_out = body
@@ -717,13 +771,36 @@ class Gateway(http11.LoopServer):
                     400, {"error": "bad_body", "device": record.device_id, "detail": str(exc)},
                     device=record,
                 )
+        flight = asyncio.get_running_loop().create_future()
+        if key is not None:
+            self._inflight[key] = flight
+        self._exchange(record, method, device_path, body_out, listener_family,
+                       functools.partial(self._land, flight, record, key, len(body), len(body_out)))
+        return flight
 
+    def _land(self, flight: asyncio.Future, record: DeviceRecord, key: CacheKey | None, sent: int,
+              sent_out: int, outcome) -> None:
+        """Settle ``flight`` with the response to the device's reply or
+        failure, ``outcome``, and take it out of ``_inflight``. A fault
+        settles it with its exception, which its waiter logs and answers
+        500, so nothing escapes into the device connection's callback."""
         try:
-            status, content_type, raw = await self._forward(
-                record, method, device_path, body_out, listener_family
-            )
+            reply = self._answer(record, key, sent, sent_out, outcome)
+        except Exception as exc:
+            reply = exc
+        if key is not None and self._inflight.get(key) is flight:
+            del self._inflight[key]
+        _complete(flight, reply)
+
+    def _answer(self, record: DeviceRecord, key: CacheKey | None, sent: int, sent_out: int, outcome):
+        """Decode the device's reply and store it under ``key``: the
+        response, or the error response of a DeviceError."""
+        try:
+            if isinstance(outcome, BaseException):
+                raise outcome
+            status, content_type, raw = outcome
             self._note_health(record, True)
-            self.device_leg_bytes += len(body_out) + len(raw)
+            self.device_leg_bytes += sent_out + len(raw)
             decoded, kind = raw, "application/json"
             if raw:
                 try:
@@ -742,7 +819,7 @@ class Gateway(http11.LoopServer):
             ttl = record.ttl if record.ttl is not None else self.cache.default_ttl
             self.cache.put(key, CacheEntry(status, decoded, time.monotonic(), ttl))
 
-        return self._device_response(record, status, decoded, "miss", len(body), kind)
+        return self._device_response(record, status, decoded, "miss", sent, kind)
 
     # -- response helpers --
 

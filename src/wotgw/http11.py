@@ -333,18 +333,20 @@ class Connection:
     loop's transport: requests answered in order until one closes it.
 
     ``respond`` returns the reply as (status, [(name, value)], body), an
-    awaitable of it, or None after closing the connection itself. While a
-    reply is awaited, and while the peer does not read its replies, the
-    connection reads nothing more, so pipelined requests are answered in
-    order. A ``respond`` that raised is logged and answered 500. A HEAD
-    request is answered as a GET whose reply is sent without its content
-    (RFC 9110 section 9.3.2). The connection is in its server's
-    ``_connections`` while connected.
+    awaitable of it, or None after closing the connection itself. Requests
+    are taken one at a time, so pipelined ones are answered in order. The
+    connection stops reading while the peer does not read its replies, and
+    while a reply is awaited once bytes arrive during the wait; a peer that
+    waits for each reply costs no pause. A ``respond`` that raised, or whose
+    awaitable did, is logged and answered 500. A HEAD request is answered
+    as a GET whose reply is sent without its content (RFC 9110 section
+    9.3.2). The connection is in its server's ``_connections`` while
+    connected.
     """
 
     methods: frozenset[str]
     server_version = "wotgw/0.1"
-    pending = None  # the task of the awaited reply
+    pending = None  # the awaited reply, a task or a future; held, as the loop holds tasks weakly
 
     def __init__(self, server: LoopServer):
         self.server = server
@@ -353,6 +355,7 @@ class Connection:
         self.head = None  # a checked head whose body is still arriving
         self.waiting = False  # an awaited reply is outstanding
         self.writable = True
+        self.paused = False  # reading is paused
         self.eof = False
 
     def respond(self, method: str, path: str, headers: Headers, body: bytes):
@@ -414,9 +417,12 @@ class Connection:
                 self.waiting = True
                 self.pending = asyncio.ensure_future(reply)
                 self.pending.add_done_callback(functools.partial(self._answered, method, path, keep))
-        if self.waiting or not self.writable:
-            self.transport.pause_reading()
-        else:
+        if (self.waiting and self.data) or not self.writable:
+            if not self.paused:
+                self.paused = True
+                self.transport.pause_reading()
+        elif self.paused:
+            self.paused = False
             self.transport.resume_reading()
 
     def _next_request(self):

@@ -108,6 +108,12 @@ class TestRunScenario:
         assert report.mean_response_ms > 0
         assert report.p50_response_ms <= report.p95_response_ms <= report.p99_response_ms
 
+    def test_throughput_counts_the_measured_phase_over_its_wall_time(self):
+        report = run_scenario(_tiny())
+        wall = 10 / report.throughput_rps
+        # each client sends its 5 requests one after another, inside the wall time
+        assert wall >= report.mean_response_ms * 5 / 1000.0
+
     def test_cold_cache_coalesces_to_one_device_request(self):
         report = run_scenario(_tiny(warmup_requests=0))
         assert report.errors == 0
@@ -165,6 +171,14 @@ class TestReports:
         write_report(report, path)
         assert load_report(path) == report
 
+    def test_a_report_without_throughput_loads_it_as_zero(self, tmp_path):
+        path = tmp_path / "older.json"
+        doc = self._report(throughput_rps=123.0).to_dict()
+        del doc["throughput_rps"]
+        path.write_text(json.dumps(doc))
+        assert load_report(str(path)) == self._report()
+        assert load_report(str(path)).throughput_rps == 0.0
+
     def test_load_rejects_missing_fields(self, tmp_path):
         path = tmp_path / "partial.json"
         doc = self._report().to_dict()
@@ -177,7 +191,7 @@ class TestReports:
     def test_compare_identity_has_zero_deltas(self):
         r = self._report()
         rows = compare_reports(r, r)
-        assert len(rows) == 9
+        assert len(rows) == 10
         assert all(delta == 0.0 for _, _, _, delta in rows)
 
     def test_compare_reports_deltas(self):
@@ -191,6 +205,6 @@ class TestReports:
         a, b = self._report(), self._report(name="b")
         text = format_comparison(a, b)
         lines = text.splitlines()
-        assert len(lines) == 10
+        assert len(lines) == 11
         assert "metric" in lines[0]
         assert all(name in text for name in ["mean_response_ms", "cache_hit_ratio", "errors"])

@@ -13,7 +13,7 @@ CMD = [sys.executable, "-m", "wotgw.cli"]
 REPORT_FIELDS = {
     "scenario", "mean_response_ms", "p50_response_ms", "p95_response_ms",
     "p99_response_ms", "device_requests_observed", "cache_hit_ratio",
-    "bytes_on_device_leg", "bytes_on_client_leg", "errors",
+    "bytes_on_device_leg", "bytes_on_client_leg", "errors", "throughput_rps",
 }
 
 
