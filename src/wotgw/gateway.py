@@ -306,9 +306,11 @@ class DeviceRecord:
     device_id: str
     host: str
     port: int
-    family: str | None  # v4 | v6 | None until resolved
     mapping: codec.MappingDictionary
     ttl: float | None = None
+    # where the device is, written by Gateway._locate: its host's addresses, and their one family or None
+    candidates: tuple[socks.Candidate, ...] = ()
+    family: str | None = None
     health: str = HEALTH_UNKNOWN
     health_path: str = "/status"
     last_probe: float | None = None
@@ -319,7 +321,7 @@ class DeviceRecord:
         return {
             "device_id": self.device_id,
             "endpoint": format_hostport(self.host, self.port),
-            "family": self.family or "unknown",
+            "family": self.family or ("dual" if self.candidates else "unknown"),
             "health": self.health,
             "last_probe": self.last_probe,
             "consecutive_failures": self.consecutive_failures,
@@ -336,26 +338,22 @@ def _normalize_client_ip(host: str) -> str:
     return (mapped or addr).compressed
 
 
+def _target(candidate: socks.Candidate) -> tuple[str, int]:  # one spelling per address, as for clients
+    return _normalize_client_ip(candidate.address), candidate.port
+
+
 class _DeviceRelay(socks.SocksRelayServer):
     """The gateway's embedded relay: a CONNECT may dial only the addresses
-    and ports that the gateway's resolver gives for its registered devices.
+    and ports where the gateway has located its registered devices.
     Anything else, the gateway's own listeners included, gets reply 0x02."""
 
     def __init__(self, gateway: "Gateway", **kwargs):
         super().__init__(**kwargs)
         self.gateway = gateway
 
-    async def permit(self, candidates: list[socks.Candidate]) -> list[socks.Candidate]:
-        def target(c):  # one spelling per address, as for client addresses
-            return _normalize_client_ip(c.address), c.port
-
-        devices = set()
-        for record in list(self.gateway.devices.values()):  # a copy: resolving awaits
-            try:
-                devices.update(map(target, await socks.resolve(record.host, record.port, self.static_table)))
-            except SocksError:  # a name the resolver lacks gives no address
-                pass
-        allowed = [c for c in candidates if target(c) in devices]
+    def permit(self, candidates: list[socks.Candidate]) -> list[socks.Candidate]:
+        targets = self.gateway.relay_targets()
+        allowed = [c for c in candidates if _target(c) in targets]
         if not allowed:
             raise SocksError("target is not a registered device", socks.REP_NOT_ALLOWED)
         return allowed
@@ -412,6 +410,7 @@ class Gateway(http11.LoopServer):
         # request digest -> canonical body digest of a cacheable request; at
         # most cache.max_entries of them, the oldest dropped first
         self._keys: dict[str, str] = {}
+        self._targets: set[tuple[str, int]] | None = None  # relay_targets(); None once stale
 
     @staticmethod
     def _static_table(spec: str) -> dict | None:
@@ -459,7 +458,7 @@ class Gateway(http11.LoopServer):
     # -- registration --
 
     def register_device_config(self, cfg: DeviceConfig, replace: bool = False) -> DeviceRecord:
-        host, port, family = parse_hostport(cfg.endpoint)
+        host, port, _ = parse_hostport(cfg.endpoint)
         if not cfg.device_id or "/" in cfg.device_id or not http11.valid_path("/" + cfg.device_id):
             # a request names its device as one segment of its path
             raise ConfigError(f"bad device id {cfg.device_id!r}: no request could name it")
@@ -478,7 +477,6 @@ class Gateway(http11.LoopServer):
             device_id=cfg.device_id,
             host=host,
             port=port,
-            family=family,
             mapping=mapping,
             ttl=cfg.ttl_seconds,
             health_path=cfg.health_path,
@@ -487,8 +485,10 @@ class Gateway(http11.LoopServer):
         return record
 
     def register_device(self, record: DeviceRecord, replace: bool = False) -> None:
-        """Add a device; a taken id raises DuplicateDeviceError unless
+        """Add a device, located first (``_locate``) on the calling thread: keep a system
+        resolver's name off the loop. A taken id raises DuplicateDeviceError unless
         ``replace``, which drops the old record's cache entries, flights and pool."""
+        self._locate(record)
         self.call(self._register, record, replace)
 
     def _register(self, record: DeviceRecord, replace: bool) -> None:
@@ -496,6 +496,7 @@ class Gateway(http11.LoopServer):
         if previous is not None and not replace:
             raise DuplicateDeviceError(record.device_id)
         self.devices[record.device_id] = record
+        self._targets = None
         record.pool.counts = self.pool_counts
         if previous is not None:  # no later request gets the old device's answers
             self.cache.invalidate_device(record.device_id)
@@ -504,6 +505,37 @@ class Gateway(http11.LoopServer):
                 previous.pool.close()
         log.info("registered device id=%s endpoint=%s:%s family=%s",
                  record.device_id, record.host, record.port, record.family or "unknown")
+
+    def _locate(self, record: DeviceRecord, candidates=None) -> None:
+        """Record where the device is, ``candidates`` or else what the
+        resolver gives for its host now, and the one family they share."""
+        if candidates is None:
+            try:
+                candidates = tuple(socks.resolve_target(record.host, record.port, self.static_table))
+            except SocksError:  # a name the resolver lacks gives no address
+                candidates = ()
+        if candidates != record.candidates:
+            record.candidates = candidates
+            families = {c.family for c in candidates}
+            record.family = families.pop() if len(families) == 1 else None
+            if self.devices.get(record.device_id) is record:
+                self._targets = None
+
+    async def _relocate(self, record: DeviceRecord) -> None:
+        """``_locate`` on the loop, where ``socks.resolve`` looks a system
+        resolver's name up on the executor. Registration, each probe and a
+        failed connect locate a device; a request that finds it never does."""
+        try:
+            candidates = tuple(await socks.resolve(record.host, record.port, self.static_table))
+        except SocksError:
+            candidates = ()
+        self._locate(record, candidates)
+
+    def relay_targets(self) -> set[tuple[str, int]]:
+        """Every located device address and port (``_target``), rebuilt after a change."""
+        if self._targets is None:
+            self._targets = {_target(c) for record in self.devices.values() for c in record.candidates}
+        return self._targets
 
     # -- health --
 
@@ -524,6 +556,7 @@ class Gateway(http11.LoopServer):
         return self.run(self._probe(self.devices[device_id]))
 
     async def _probe(self, record: DeviceRecord) -> str:
+        await self._relocate(record)
         try:
             status, _, _ = await self._forward(record, "GET", record.health_path, b"", None)
             ok = 200 <= status < 300
@@ -552,33 +585,27 @@ class Gateway(http11.LoopServer):
     async def _leg(self, record: DeviceRecord, listener_family: str | None) -> _Upstream:
         """A new connection to the device, counted as opened.
 
-        The device's addresses, its literal one or what the resolver gives
-        for its name now, of the listener's family (any family when it is
-        None, as for health probes) are dialled directly. With none, the leg
-        crosses the relay in process: the gateway dials the others itself
-        and counts a relay session, one that sends no SOCKS bytes. With no
-        relay either, it refuses: ``_front`` does so first once this has set
-        ``record.family`` (None when the device has both families).
+        The device's located addresses of the listener's family (any family
+        when it is None, as for health probes) are dialled directly. With
+        none, the leg crosses the relay in process: the gateway dials the
+        others itself and counts a relay session, one that sends no SOCKS
+        bytes. A device with no address is located first, and one whose
+        connect fails after, for the next connect.
         """
-        try:
-            candidates = await socks.resolve(record.host, record.port, self.static_table)
-        except SocksError as exc:
-            raise DeviceError(503, str(exc)) from None
-        record.family = candidates[0].family if len({c.family for c in candidates}) == 1 else None
-        direct = [c for c in candidates if listener_family in (None, c.family)]
+        fresh = not record.candidates  # a name that gave no address may give one now
+        if fresh:
+            await self._relocate(record)
+        direct = [c for c in record.candidates if listener_family in (None, c.family)]
         relay = None if direct else self.relay
-        if not direct and relay is None:
-            raise DeviceError(
-                503,
-                f"device {record.device_id} is {candidates[0].family}-only, "
-                f"client leg is {listener_family}, and the relay is disabled",
-                blame=False,
-            )
         try:
-            _, conn = await socks.dial(direct or candidates, self.config.request_timeout_seconds, _Upstream)
+            # no other family without a relay, should a probe relocate it after _front's check
+            dialled = direct or (record.candidates if relay else ())
+            _, conn = await socks.dial(dialled, self.config.request_timeout_seconds, _Upstream)
         except SocksError as exc:
             if relay is not None:
                 relay.stats.sessions_failed += 1
+            if not fresh:
+                await self._relocate(record)
             raise DeviceError(503, f"connect failed: {exc}") from None
         if relay is not None:
             relay.stats.sessions_total += 1
@@ -862,19 +889,25 @@ class Gateway(http11.LoopServer):
             device_id = path[len("/admin/devices/") :]
             if not device_id or "/" in device_id:
                 return self._json_response(404, {"error": "not_found"})
-            try:
-                doc = json.loads(body or b"{}")
-                cfg = device_config(device_id, doc)
-                replace = doc.get("replace", False)
-                if not isinstance(replace, bool):
-                    raise ConfigError(f"replace must be true or false, not {replace!r}")
-                self.register_device_config(cfg, replace=replace)
-            except DuplicateDeviceError:
-                return self._json_response(409, {"error": "duplicate_device", "device": device_id})
-            except (ValueError, OSError) as exc:  # ConfigError, bad JSON, an unreadable mapping file
-                return self._json_response(400, {"error": "bad_registration", "detail": str(exc)})
-            return self._json_response(200, {"registered": device_id})
+            return self._put_device(device_id, body)
         return self._json_response(404, {"error": "not_found"})
+
+    async def _put_device(self, device_id: str, body: bytes):
+        """Register the device of an admin PUT. ``register_device_config``
+        runs on the executor, off the loop like any other caller: a name for
+        the system resolver is looked up there, and a mapping file read."""
+        try:
+            doc = json.loads(body or b"{}")
+            cfg = device_config(device_id, doc)
+            replace = doc.get("replace", False)
+            if not isinstance(replace, bool):
+                raise ConfigError(f"replace must be true or false, not {replace!r}")
+            await self.loop.run_in_executor(None, self.register_device_config, cfg, replace)
+        except DuplicateDeviceError:
+            return self._json_response(409, {"error": "duplicate_device", "device": device_id})
+        except (ValueError, OSError) as exc:  # ConfigError, bad JSON, an unreadable mapping file
+            return self._json_response(400, {"error": "bad_registration", "detail": str(exc)})
+        return self._json_response(200, {"registered": device_id})
 
     def stats(self) -> dict:
         """The gateway's counters, taken on the loop."""

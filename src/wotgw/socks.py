@@ -389,7 +389,7 @@ class _Pipe:
     async def _connect(self, request: SocksConnectRequest) -> None:
         try:
             candidates = await resolve(request.address, request.port, self.relay.static_table)
-            await self.relay.establish_and_pump(self, await self.relay.permit(candidates))
+            await self.relay.establish_and_pump(self, self.relay.permit(candidates))
         except SocksError as exc:
             self.refuse(exc)
 
@@ -456,7 +456,7 @@ class SocksRelayServer(LoopServer):
     def accept(self, family: str) -> _Pipe:
         return _Pipe(self)
 
-    async def permit(self, candidates: list[Candidate]) -> list[Candidate]:
+    def permit(self, candidates: list[Candidate]) -> list[Candidate]:
         """The candidates of a CONNECT's target that the relay may dial: all
         of them here. Raises SocksError with the reply to send for none."""
         return candidates

@@ -19,7 +19,7 @@ import time
 import pytest
 
 from _gen import in_pieces, mutated_reply, mutated_request
-from wotgw import codec, http11
+from wotgw import codec, http11, socks
 from wotgw.cache import CacheEntry, CacheKey
 from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, config_from_dict, format_hostport, load_config
 from wotgw.device import DEFAULT_READINGS, DeviceSimulator
@@ -534,7 +534,7 @@ class TestEndToEnd:
             assert _front_all(gw, ("v4", *GET_STATUS))[0][0] == 200  # the name resolves to v4 only
             assert _front_all(gw, ("v6", *GET_STATUS))[0][0] == 503
             gw.call(gw.static_table.__setitem__, "dual.device", (("v4", "127.0.0.1"), ("v6", "::1")))
-            gw.call(gw.devices["power"].pool.sweep, math.inf)  # so the next request resolves anew
+            assert gw.probe_device("power") == "up"  # a probe locates the device anew
             assert _front_all(gw, ("v4", *GET_STATUS))[0][0] == 200
             assert _front_all(gw, ("v6", *GET_STATUS))[0][::2] == (200, OK_BODY)
 
@@ -557,6 +557,142 @@ class TestRelayTargets:
                     reply += chunk
             assert reply.startswith(b"HTTP/1.1 200 ") and reply.endswith(OK_BODY)
             assert sim_v4.request_count == 1
+
+
+def _count_lookups(monkeypatch) -> list:
+    """The (host, port) of every ``socks.resolve_target`` call from now on."""
+    calls, lookup = [], socks.resolve_target
+
+    def counting(host, port, static_table=None):
+        calls.append((host, port))
+        return lookup(host, port, static_table)
+
+    monkeypatch.setattr(socks, "resolve_target", counting)
+    return calls
+
+
+def _relayed_status(gw, target) -> bytes:
+    """The status line of ``GET /status`` sent through the embedded relay to ``target``."""
+    with socks_connect(gw.relay.listen_address("v6"), *target, timeout=5.0) as sock:
+        sock.sendall(b"GET /status HTTP/1.1\r\nHost: d\r\nConnection: close\r\n\r\n")
+        with sock.makefile("rb") as reply:
+            return reply.readline()
+
+
+class TestDeviceLocation:
+    """A device is located when it is registered, by each probe and after a
+    failed connect; requests and relay CONNECTs read where it is."""
+
+    def test_a_connect_among_many_devices_resolves_only_its_own_target(self, sim_v4, monkeypatch):
+        ports = _free_ports("127.0.0.1", 199)
+        devices = [DeviceConfig(device_id=f"d{port}", endpoint=f"127.0.0.1:{port}") for port in ports]
+        with running(make_config([*devices, power_device(sim_v4)])) as gw:
+            calls = _count_lookups(monkeypatch)
+            started = time.perf_counter()
+            assert _relayed_status(gw, sim_v4.address).startswith(b"HTTP/1.1 200 ")
+            elapsed = time.perf_counter() - started
+            assert calls == [sim_v4.address]  # the CONNECT's target, not the 200 devices
+            print(f"CONNECT and one relayed request with 200 devices registered: {elapsed * 1e3:.2f} ms")
+
+    @pytest.mark.parametrize("resolver", ["literal", "static"])
+    def test_a_new_device_connection_resolves_nothing(self, sim_v4, resolver, tmp_path, monkeypatch):
+        port = sim_v4.address[1]
+        endpoint, over = f"127.0.0.1:{port}", {}
+        if resolver == "static":
+            (tmp_path / "hosts").write_text("power.device v4 127.0.0.1\n")
+            endpoint, over = f"power.device:{port}", {"socks_resolver": f"static:{tmp_path / 'hosts'}"}
+        device = DeviceConfig(device_id="power", endpoint=endpoint)
+        with running(make_config([device], cache_enabled=False, **over)) as gw:
+            calls = _count_lookups(monkeypatch)
+            for family in ("v4", "v6", "v4"):  # directly, across the relay, directly
+                assert _front_all(gw, (family, *GET_STATUS))[0][::2] == (200, OK_BODY)
+                gw.call(gw.devices["power"].pool.sweep, math.inf)  # the next request opens a connection
+            assert gw.pool_counts["opened"] == 3
+            assert calls == []
+
+    def test_relay_disabled_refuses_a_named_devices_first_cross_family_request_in_front(
+            self, sim_v4, tmp_path, monkeypatch):
+        (tmp_path / "hosts").write_text("power.device v4 127.0.0.1\n")
+        device = DeviceConfig(device_id="power", endpoint=f"power.device:{sim_v4.address[1]}")
+        cfg = make_config([device], socks_resolver=f"static:{tmp_path / 'hosts'}", relay_enabled=False)
+        with running(cfg) as gw:
+            calls = _count_lookups(monkeypatch)
+
+            async def first_request():
+                return gw._front("127.0.0.1", "v6", *GET_STATUS)
+
+            reply = gw.run(first_request())
+            assert isinstance(reply, tuple)  # answered at once: no flight
+            assert (reply[0], codec.parse_json(reply[2])) == (503, UNAVAILABLE)
+            assert gw.devices["power"].health == "unknown"  # the device is not blamed
+            assert (calls, gw.pool_counts["opened"], sim_v4.request_count) == ([], 0, 0)
+
+    def test_admin_lists_a_named_devices_family_before_any_request(self, sim_v4, tmp_path):
+        (tmp_path / "hosts").write_text("power.device v4 127.0.0.1\n")
+        device = DeviceConfig(device_id="power", endpoint=f"power.device:{sim_v4.address[1]}")
+        with running(make_config([device], socks_resolver=f"static:{tmp_path / 'hosts'}")) as gw:
+            status, _, body = _request(gw.listen_address("v4"), "GET", "/admin/devices")
+            assert (status, codec.parse_json(body)["devices"][0]["family"]) == (200, "v4")
+            assert sim_v4.request_count == 0
+
+    def test_a_system_resolver_name_is_looked_up_off_the_loop(self, monkeypatch):
+        lookups, getaddrinfo = [], socket.getaddrinfo
+
+        def recording(host, *args, **kwargs):
+            if host == "localhost":
+                lookups.append(threading.current_thread().name)
+            return getaddrinfo(host, *args, **kwargs)
+
+        with contextlib.ExitStack() as stack:
+            # a v4 and a v6 simulator on one port answer whatever localhost gives
+            sim4 = DeviceSimulator(bind=("127.0.0.1", 0), power_save_idle=0.0).start()
+            stack.callback(sim4.stop)
+            port = sim4.address[1]
+            stack.callback(DeviceSimulator(bind=("::1", port), power_save_idle=0.0).start().stop)
+            infos = getaddrinfo("localhost", port, socket.AF_UNSPEC, socket.SOCK_STREAM)
+            families = {"v4" if af == socket.AF_INET else "v6" for af, *_ in infos}
+            family = families.pop() if len(families) == 1 else "dual"
+            monkeypatch.setattr(socket, "getaddrinfo", recording)
+            device = DeviceConfig(device_id="config", endpoint=f"localhost:{port}")
+            gw = stack.enter_context(running(make_config([device], socks_resolver="system")))
+            addr = gw.listen_address("v4")
+            doc = json.dumps({"endpoint": f"localhost:{port}"}).encode()
+            assert _request(addr, "PUT", "/admin/devices/admin", doc)[0] == 200
+            for device_id in ("config", "admin"):
+                status, _, body = _request(addr, "GET", f"/devices/{device_id}/status")
+                assert (device_id, status, body) == (device_id, 200, OK_BODY)
+            listing = codec.parse_json(_request(addr, "GET", "/admin/devices")[2])["devices"]
+            assert {entry["device_id"]: entry["family"] for entry in listing} == {"config": family, "admin": family}
+        assert len(lookups) == 2  # one per registration, none per request
+        assert "gateway-loop" not in lookups
+        assert lookups[0] == threading.current_thread().name  # the config's, on the registering thread
+
+    def test_a_name_that_resolves_to_nothing_is_registered_and_unavailable_until_it_resolves(
+            self, sim_v4, tmp_path):
+        table = tmp_path / "hosts"
+        table.write_text("other.device v4 127.0.0.1\n")
+        device = DeviceConfig(device_id="power", endpoint=f"late.device:{sim_v4.address[1]}")
+        with running(make_config([device], socks_resolver=f"static:{table}")) as gw:
+            [(status, _, body)] = _front_all(gw, ("v4", *GET_STATUS))
+            assert (status, codec.parse_json(body)) == (503, UNAVAILABLE)
+            gw.call(gw.static_table.__setitem__, "late.device", (("v4", "127.0.0.1"),))
+            assert gw.probe_device("power") == "up"  # the probe locates it
+            assert _front_all(gw, ("v6", *GET_STATUS))[0][::2] == (200, OK_BODY)
+
+    def test_the_relay_follows_a_replaced_device(self, sim_v4):
+        other = DeviceSimulator(bind=("127.0.0.1", 0), power_save_idle=0.0).start()
+        try:
+            with running(make_config([power_device(sim_v4)])) as gw:
+                with pytest.raises(SocksReplyError) as refused:
+                    _relayed_status(gw, other.address)
+                assert refused.value.reply_code == 0x02
+                gw.register_device_config(power_device(other), replace=True)
+                assert _relayed_status(gw, other.address).startswith(b"HTTP/1.1 200 ")
+                with pytest.raises(SocksReplyError) as refused:
+                    _relayed_status(gw, sim_v4.address)
+                assert refused.value.reply_code == 0x02
+        finally:
+            other.stop()
 
 
 class TestRouting:
@@ -1087,7 +1223,7 @@ class TestHealthAndOutage:
             with running(cfg) as gw:
                 record = gw.devices["power"]
 
-                def unpooled(answer):  # so the next request opens, and resolves, anew
+                def unpooled(answer):  # so the next request opens a connection anew
                     gw.call(record.pool.sweep, math.inf)
                     return answer
 
