@@ -13,7 +13,6 @@ import logging
 import sys
 import threading
 
-from wotgw import bench as benchmod
 from wotgw import codec, device
 from wotgw.config import ConfigError, GatewayConfig, format_hostport, load_config
 from wotgw.gateway import Gateway
@@ -103,7 +102,7 @@ def _cmd_sim(args) -> int:
     from wotgw.config import parse_hostport
 
     try:
-        host, port, _ = parse_hostport(args.bind)
+        host, port = parse_hostport(args.bind)
         readings = device.DEFAULT_READINGS
         if args.readings:
             with open(args.readings, encoding="utf-8") as fh:
@@ -132,6 +131,8 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from wotgw import bench as benchmod  # loads http.client, which `wotgw gateway` and `wotgw sim` never need
+
     try:
         scenario = benchmod.load_scenario(args.scenario)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
@@ -155,6 +156,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from wotgw import bench as benchmod
+
     try:
         a = benchmod.load_report(args.report_a)
         b = benchmod.load_report(args.report_b)

@@ -15,18 +15,14 @@ from pathlib import Path
 
 from wotgw import cache as cache_mod
 from wotgw import guard as guard_mod
-from wotgw.socks import literal_family
 
 
 class ConfigError(ValueError):
     pass
 
 
-def parse_hostport(text: str) -> tuple[str, int, str | None]:
-    """Split ``host:port``; IPv6 literals use brackets: ``[::1]:8080``.
-
-    Returns (host, port, family) with family None for names resolved later.
-    """
+def parse_hostport(text: str) -> tuple[str, int]:
+    """Split ``host:port`` into (host, port); IPv6 literals use brackets: ``[::1]:8080``."""
     text = text.strip()
     if text.startswith("["):
         end = text.find("]")
@@ -43,7 +39,7 @@ def parse_hostport(text: str) -> tuple[str, int, str | None]:
         raise ConfigError(f"bad port in {text!r}")
     if not 0 <= port <= 65535:
         raise ConfigError(f"port out of range in {text!r}")
-    return host, port, literal_family(host)
+    return host, port
 
 
 def format_hostport(host: str, port: int) -> str:
@@ -235,8 +231,7 @@ def _build(flat: dict, devices: list[dict], base_dir: Path) -> GatewayConfig:
             if value in (None, "", "none", "off"):
                 setattr(cfg, _LISTEN_KEYS[key], None)
             else:
-                host, port, _ = parse_hostport(str(value))
-                setattr(cfg, _LISTEN_KEYS[key], (host, port))
+                setattr(cfg, _LISTEN_KEYS[key], parse_hostport(str(value)))
         elif key in _SCALAR_KEYS:
             attr, kind = _SCALAR_KEYS[key]
             try:

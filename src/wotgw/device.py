@@ -17,7 +17,6 @@ import logging
 import random
 import socket
 import struct
-import time
 from dataclasses import dataclass
 
 from wotgw import _AF, FAMILY_V4, FAMILY_V6, codec
@@ -110,7 +109,7 @@ class _SimConnection(Connection):
     def respond(self, method, path, headers, body):
         """Count the request, apply the injected delays and failures, answer it."""
         sim = self.server
-        now = time.monotonic()
+        now = sim.loop.time()
         sim.request_count += 1
         idle = now - sim._last_request_at
         sim._last_request_at = now
@@ -193,7 +192,6 @@ class DeviceSimulator(LoopServer):
         self.wake_latency = wake_latency
         self.request_count = 0
         self._rng = random.Random(seed)
-        self._last_request_at = time.monotonic()
         self.family = FAMILY_V6 if ":" in bind[0] else FAMILY_V4
         self._sock = socket.create_server(bind, family=_AF[self.family], backlog=128)
         self.address: tuple[str, int] = self._sock.getsockname()[:2]
@@ -201,6 +199,10 @@ class DeviceSimulator(LoopServer):
 
     def accept(self, family: str) -> _SimConnection:
         return _SimConnection(self)
+
+    async def open(self) -> None:
+        await super().open()
+        self._last_request_at = self.loop.time()  # idle from the moment it listens
 
     def stop(self) -> None:
         """Stop listening and drop open connections, so peers see EOF; the

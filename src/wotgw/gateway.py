@@ -29,7 +29,6 @@ import ipaddress
 import json
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 
 from wotgw import codec, http11, socks
@@ -253,8 +252,8 @@ class IdlePool:
     Used on the loop thread only. ``take`` returns None when no reusable
     idle connection is left and the caller opens a new one. Once closed,
     the pool closes whatever is handed back to it. ``counts`` tallies the
-    connections handed out again (``reused``) and those closed unfit,
-    surplus or expired (``discarded``); a gateway's pools share one dict.
+    connections handed out again (``reused``) and those closed, by the pool
+    or after an exchange (``discarded``); a gateway's pools share one dict.
     """
 
     def __init__(self):
@@ -308,9 +307,10 @@ class DeviceRecord:
     port: int
     mapping: codec.MappingDictionary
     ttl: float | None = None
-    # where the device is, written by Gateway._locate: its host's addresses, and their one family or None
+    # where the device is, written by Gateway._locate: its addresses, their one family or None, their _target
     candidates: tuple[socks.Candidate, ...] = ()
     family: str | None = None
+    targets: frozenset[tuple[str, int]] = frozenset()
     health: str = HEALTH_UNKNOWN
     health_path: str = "/status"
     last_probe: float | None = None
@@ -458,7 +458,7 @@ class Gateway(http11.LoopServer):
     # -- registration --
 
     def register_device_config(self, cfg: DeviceConfig, replace: bool = False) -> DeviceRecord:
-        host, port, _ = parse_hostport(cfg.endpoint)
+        host, port = parse_hostport(cfg.endpoint)
         if not cfg.device_id or "/" in cfg.device_id or not http11.valid_path("/" + cfg.device_id):
             # a request names its device as one segment of its path
             raise ConfigError(f"bad device id {cfg.device_id!r}: no request could name it")
@@ -516,6 +516,7 @@ class Gateway(http11.LoopServer):
                 candidates = ()
         if candidates != record.candidates:
             record.candidates = candidates
+            record.targets = frozenset(map(_target, candidates))
             families = {c.family for c in candidates}
             record.family = families.pop() if len(families) == 1 else None
             if self.devices.get(record.device_id) is record:
@@ -534,7 +535,7 @@ class Gateway(http11.LoopServer):
     def relay_targets(self) -> set[tuple[str, int]]:
         """Every located device address and port (``_target``), rebuilt after a change."""
         if self._targets is None:
-            self._targets = {_target(c) for record in self.devices.values() for c in record.candidates}
+            self._targets = set().union(*(record.targets for record in self.devices.values()))
         return self._targets
 
     # -- health --
@@ -542,7 +543,7 @@ class Gateway(http11.LoopServer):
     async def _probe_loop(self) -> None:
         while True:
             await asyncio.sleep(self.config.probe_interval_seconds)
-            now = time.monotonic()
+            now = self.loop.time()
             # a copy: a registration may add a device while a probe awaits
             for record in list(self.devices.values()):
                 try:
@@ -567,7 +568,7 @@ class Gateway(http11.LoopServer):
     def _note_health(self, record: DeviceRecord, ok: bool, probed: bool = False) -> str:
         """Apply one probe or forward outcome to the device's health state."""
         if probed:
-            record.last_probe = time.monotonic()
+            record.last_probe = self.loop.time()
         if ok:
             record.consecutive_failures = 0
             record.health = HEALTH_UP
@@ -642,7 +643,7 @@ class Gateway(http11.LoopServer):
         more on a new connection (RFC 9112 section 9.3.1).
         """
         request = self._request_bytes(record, method, path, body)
-        conn = record.pool.take(time.monotonic())
+        conn = record.pool.take(self.loop.time())
         if conn is None:
             self._dial(record, request, listener_family, done)
         else:
@@ -672,15 +673,15 @@ class Gateway(http11.LoopServer):
         or dial once more when a reused connection died unanswered."""
         self._busy.discard(conn)
         if isinstance(outcome, DeviceError):  # conn is closed
-            if retry and isinstance(outcome, _Unanswered):
-                record.pool.discard(conn)  # it was cut while idle
+            record.pool.discard(conn)
+            if retry and isinstance(outcome, _Unanswered):  # it was cut while idle
                 return self._dial(record, request, listener_family, done)
             return done(outcome)
         status, content_type, data, keep = outcome
         if keep:
-            record.pool.give(conn, time.monotonic())
+            record.pool.give(conn, self.loop.time())
         else:
-            conn.close()
+            record.pool.discard(conn)
         done((status, content_type, data))
 
     @staticmethod
@@ -722,7 +723,7 @@ class Gateway(http11.LoopServer):
         request. The guard counts repeats by it, and ``_keys`` maps it to
         the body digest of the cache key, so the same bytes again skip the
         parse and the key's own digest; a miss parses in its flight."""
-        now = time.monotonic()
+        now = self.loop.time()
         self.requests_total += 1
 
         # the framer refuses control bytes in a target, so a path holds no "\n"
@@ -762,7 +763,7 @@ class Gateway(http11.LoopServer):
             if len(self._keys) > self.cache.max_entries:
                 del self._keys[next(iter(self._keys))]
         cache_control = (headers.get("Cache-Control") or headers.get("Pragma") or "").lower()
-        entry = None if "no-cache" in cache_control else self.cache.get(key, time.monotonic())
+        entry = None if "no-cache" in cache_control else self.cache.get(key, now)
         if entry is not None:
             self.client_leg_bytes += len(body) + len(entry.body)
             if entry.reply is None:  # the first hit renders the header block of every hit
@@ -844,7 +845,7 @@ class Gateway(http11.LoopServer):
 
         if key is not None and 200 <= status < 300 and self.devices.get(record.device_id) is record:
             ttl = record.ttl if record.ttl is not None else self.cache.default_ttl
-            self.cache.put(key, CacheEntry(status, decoded, time.monotonic(), ttl))
+            self.cache.put(key, CacheEntry(status, decoded, self.loop.time(), ttl))
 
         return self._device_response(record, status, decoded, "miss", sent, kind)
 
@@ -919,7 +920,7 @@ class Gateway(http11.LoopServer):
             "client_leg_bytes": self.client_leg_bytes,
             "device_leg_bytes": self.device_leg_bytes,
             "cache": self.cache.stats(),
-            "guard": self.guard.stats(time.monotonic()),
+            "guard": self.guard.stats(self.loop.time()),
             "relay": self.relay.stats.snapshot() if self.relay else None,
             "pool": dict(self.pool_counts),
             "devices": {r.device_id: r.health for r in self.devices.values()},

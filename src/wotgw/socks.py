@@ -17,7 +17,6 @@ import ipaddress
 import logging
 import socket
 import struct
-import time
 from contextlib import suppress
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -324,7 +323,7 @@ class _Pipe:
         self.data = bytearray()  # the negotiation's bytes not yet taken
         self.eof = self.greeted = self.relaying = self.ended = False
         self.bytes_up = self.bytes_down = 0  # client -> target, target -> client
-        self.last = time.monotonic()
+        self.last = relay.loop.time()
 
     def connection_made(self, transport):
         self.transport = transport
@@ -342,7 +341,7 @@ class _Pipe:
             except SocksError as exc:
                 self.refuse(exc)
             return
-        client.last = time.monotonic()
+        client.last = self.relay.loop.time()
         if self is client:
             client.bytes_up += len(data)
         else:
@@ -401,7 +400,7 @@ class _Pipe:
         self.end()
 
     def _check_idle(self) -> None:
-        idle = time.monotonic() - self.last
+        idle = self.relay.loop.time() - self.last
         if idle >= IDLE_TIMEOUT:
             return self.end()
         self.timer = self.relay.loop.call_later(IDLE_TIMEOUT - idle, self._check_idle)

@@ -17,16 +17,16 @@ from wotgw.gateway import Gateway
 
 class TestParseHostport:
     def test_ipv4(self):
-        assert parse_hostport("127.0.0.1:8080") == ("127.0.0.1", 8080, "v4")
+        assert parse_hostport("127.0.0.1:8080") == ("127.0.0.1", 8080)
 
     def test_ipv6_bracketed(self):
-        assert parse_hostport("[::1]:8080") == ("::1", 8080, "v6")
+        assert parse_hostport("[::1]:8080") == ("::1", 8080)
 
     def test_hostname_family_unknown(self):
-        assert parse_hostport("sensor.local:80") == ("sensor.local", 80, None)
+        assert parse_hostport("sensor.local:80") == ("sensor.local", 80)
 
     def test_whitespace_tolerated(self):
-        assert parse_hostport("  10.0.0.1:99 ") == ("10.0.0.1", 99, "v4")
+        assert parse_hostport("  10.0.0.1:99 ") == ("10.0.0.1", 99)
 
     @pytest.mark.parametrize(
         "bad",
@@ -50,7 +50,7 @@ class TestFormatHostport:
 
     def test_roundtrip(self):
         for host, port in [("127.0.0.1", 1), ("::1", 65535), ("fd00::7", 80)]:
-            h, p, _ = parse_hostport(format_hostport(host, port))
+            h, p = parse_hostport(format_hostport(host, port))
             assert (h, p) == (host, port)
 
 

@@ -20,6 +20,7 @@ import pytest
 
 from _gen import in_pieces, mutated_reply, mutated_request
 from wotgw import codec, http11, socks
+from wotgw import gateway as gateway_module
 from wotgw.cache import CacheEntry, CacheKey
 from wotgw.config import ConfigError, DeviceConfig, GatewayConfig, config_from_dict, format_hostport, load_config
 from wotgw.device import DEFAULT_READINGS, DeviceSimulator
@@ -540,6 +541,15 @@ class TestEndToEnd:
 
 
 class TestRelayTargets:
+    def test_a_rebuild_parses_no_address(self, sim_v4, sim_v6, monkeypatch):
+        with running(make_config([power_device(sim_v4, "four"), power_device(sim_v6, "six")])) as gw:
+            parsed, normalize = [], gateway_module._normalize_client_ip
+            monkeypatch.setattr(gateway_module, "_normalize_client_ip",
+                                lambda host: parsed.append(host) or normalize(host))
+            gw.call(setattr, gw, "_targets", None)  # stale, as after a registration
+            assert gw.call(gw.relay_targets) == {sim_v4.address, sim_v6.address}
+            assert parsed == []  # each address was normalised once, where _locate recorded it
+
     def test_a_connect_to_the_gateways_own_listener_is_not_allowed(self, sim_v4):
         with running(make_config([power_device(sim_v4)])) as gw:
             with pytest.raises(SocksReplyError) as refused:
@@ -929,7 +939,8 @@ class TestCachePolicy:
         forwarded = []
 
         async def scenario():
-            release = asyncio.get_running_loop().create_future()
+            gw.loop = asyncio.get_running_loop()  # an unopened gateway's clock: the loop it is driven on
+            release = gw.loop.create_future()
 
             def exchange(record, method, path, body, family, done):
                 forwarded.append(path)
@@ -960,6 +971,7 @@ class TestCachePolicy:
                                                   done, (200, "application/json", b"{}"))
 
         async def scenario():
+            gw.loop = asyncio.get_running_loop()  # an unopened gateway's clock: the loop it is driven on
             gw._exchange = exchange
             args = ("10.0.0.1", "v4", "GET", "/devices/d/x", {}, b"")
             return await asyncio.gather(gw._front(*args), gw._front(*args))
@@ -1006,6 +1018,7 @@ class TestKeyMemo:
 
     @staticmethod
     async def _send(gw, method, path, body=b""):
+        gw.loop = asyncio.get_running_loop()  # an unopened gateway's clock: the loop it is driven on
         return await _settle(gw._front("10.0.0.1", "v4", method, path, Headers(), body))
 
     def test_the_memo_keeps_the_newest_cache_max_entries(self, monkeypatch):
@@ -1465,6 +1478,28 @@ class TestDeviceLegPool:
             finally:
                 sim.stop()
             assert gw.stats()["pool"] == {"opened": 2, "reused": 0, "discarded": 1}
+
+    @pytest.mark.parametrize("device", ["reset", "closing-reply"])
+    def test_every_connection_opened_is_idle_busy_or_discarded(self, device):
+        if device == "reset":
+            sim = DeviceSimulator(bind=("127.0.0.1", 0), power_save_idle=0.0, failure_rate=1.0).start()
+            # the first reset takes the device down, so only one request reaches it
+            endpoint, stop, expected, opened = format_hostport(*sim.address), sim.stop, 503, 1
+        else:
+            scripted = _ScriptedDevice(b"HTTP/1.1 200 OK\r\nContent-Length: 15\r\nConnection: close\r\n\r\n"
+                                       + OK_BODY, close=True)
+            endpoint, stop, expected, opened = format_hostport(*scripted.address), scripted.close, 200, 3
+        cfg = make_config([DeviceConfig(device_id="d", endpoint=endpoint)], cache_enabled=False)
+        try:
+            with running(cfg) as gw:
+                for _ in range(3):
+                    assert _request(gw.listen_address("v4"), "GET", "/devices/d/status")[0] == expected
+                pool = gw.stats()["pool"]
+                busy = gw.call(len, gw._busy)
+                assert (pool["opened"], pool["reused"]) == (opened, 0)
+                assert pool["opened"] == pool["discarded"] + _idle(gw) + busy
+        finally:
+            stop()
 
     def test_reused_get_is_retried_once_on_a_new_connection(self):
         device = _AnswerOnceServer()
@@ -1940,6 +1975,7 @@ async def _client_leg_writes(gw, pieces):
     """What a bare _ClientLeg of ``gw`` writes for a request fed as
     ``pieces``, then EOF, each once reading is not paused: one message per
     write, its Date line blanked."""
+    gw.loop = asyncio.get_running_loop()  # an unopened gateway's clock: the loop it is driven on
     leg = gw.accept("v4")
     transport = _FakeTransport()
     leg.connection_made(transport)
@@ -2070,9 +2106,10 @@ class TestMissOnTheLoop:
         idle in its pool, each leg on a _FakeTransport."""
         gw = Gateway(make_config([DeviceConfig(device_id="power", endpoint="127.0.0.1:9")]))
         gw.register_device_config(gw.config.devices[0])
+        gw.loop = asyncio.get_running_loop()  # an unopened gateway's clock: the loop it is driven on
         device = _Upstream()
         device.connection_made(_FakeTransport())
-        gw.devices["power"].pool.give(device, time.monotonic())
+        gw.devices["power"].pool.give(device, gw.loop.time())
         client = gw.accept("v4")
         client.connection_made(_FakeTransport())
         return gw, client, device
@@ -2255,7 +2292,8 @@ class TestDeviceLegFraming:
                 assert (status, body) == (200, OK_BODY)
             assert _idle(gw) == pooled
             assert device.connections == 2 - pooled
-            assert gw.stats()["pool"]["discarded"] == 0
+            # a connection the reply does not keep is counted when the gateway closes it
+            assert gw.stats()["pool"]["discarded"] == device.connections - pooled
 
     @pytest.mark.parametrize("payload, status, error", [
         (b"HTTP/1.1 200 OK\r\nX-A: " + b"a" * (64 * 1024) + b"\r\n\r\n", 502, "device_protocol_error"),

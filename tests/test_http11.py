@@ -12,8 +12,8 @@ from wotgw import http11
 
 def test_servers_load_no_stdlib_http_modules():
     code = (
-        "import sys, wotgw.gateway, wotgw.device, wotgw.socks\n"
-        "print(sorted(m for m in ('http.server', 'http.client', 'socketserver')\n"
+        "import sys, wotgw.gateway, wotgw.device, wotgw.socks, wotgw.cli\n"
+        "print(sorted(m for m in ('http.server', 'http.client', 'socketserver', 'email.parser')\n"
         "             if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(wotgw.__file__))
