@@ -209,11 +209,9 @@ def device_config(device_id: str, entry, base_dir: Path = Path(".")) -> DeviceCo
     ttl = entry.get("ttl_seconds")
     if ttl is not None:
         try:
-            ttl = math.nan if isinstance(ttl, bool) else float(ttl)
-        except (TypeError, ValueError, OverflowError):
-            ttl = math.nan
-        if not 0 <= ttl < math.inf:  # NaN too
-            raise ConfigError(f"device {device_id!r}: ttl_seconds must be a finite number >= 0")
+            ttl = _coerce(ttl, float)
+        except (TypeError, ValueError, OverflowError):  # a ConfigError is a ValueError
+            raise ConfigError(f"device {device_id!r}: ttl_seconds must be a finite number >= 0") from None
     return DeviceConfig(
         device_id=device_id,
         endpoint=endpoint,

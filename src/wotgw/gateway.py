@@ -25,7 +25,6 @@ a task, which dials it.
 from __future__ import annotations
 
 import functools
-import ipaddress
 import json
 import logging
 import math
@@ -317,22 +316,21 @@ class DeviceRecord:
     consecutive_failures: int = 0
     pool: IdlePool = field(default_factory=IdlePool, repr=False)
 
-    def describe(self) -> dict:
+    def describe(self, now: float) -> dict:
         return {
             "device_id": self.device_id,
             "endpoint": format_hostport(self.host, self.port),
             "family": self.family or ("dual" if self.candidates else "unknown"),
             "health": self.health,
-            "last_probe": self.last_probe,
+            "last_probe_age_s": None if self.last_probe is None else now - self.last_probe,
             "consecutive_failures": self.consecutive_failures,
             "mapping": self.mapping.name,
         }
 
 
 def _normalize_client_ip(host: str) -> str:
-    try:
-        addr = ipaddress.ip_address(host.split("%")[0])
-    except ValueError:
+    addr = socks.ip_literal(host)
+    if addr is None:
         return host
     mapped = getattr(addr, "ipv4_mapped", None)
     return (mapped or addr).compressed
@@ -447,8 +445,9 @@ class Gateway(http11.LoopServer):
         for task in self._dials:  # none may hand a new connection an exchange after this
             task.cancel()
         await asyncio.gather(*self._dials, return_exceptions=True)
-        for conn in list(self._busy):
+        for conn in list(self._busy):  # each counted discarded: opened == discarded once stopped
             conn.close()
+        self.pool_counts["discarded"] += len(self._busy)
         self._busy.clear()
         for record in self.devices.values():
             record.pool.close()
@@ -882,7 +881,7 @@ class Gateway(http11.LoopServer):
     def admin_request(self, method: str, path: str, body: bytes):
         if method == "GET" and path == "/admin/devices":
             return self._json_response(
-                200, {"devices": [r.describe() for r in self.devices.values()]}
+                200, {"devices": [r.describe(self.loop.time()) for r in self.devices.values()]}
             )
         if method == "GET" and path == "/admin/stats":
             return self._json_response(200, self.stats())
@@ -944,7 +943,7 @@ class _ClientLeg(http11.Connection):
         gateway = self.server
         if path == "/admin" or path.startswith("/admin/"):
             # registration points the gateway at any host and port
-            if not ipaddress.ip_address(self.client_ip).is_loopback:
+            if not socks.ip_literal(self.client_ip).is_loopback:
                 return gateway._json_response(403, {"error": "forbidden"})
             return gateway.admin_request(method, path, body)
         return gateway._front(self.client_ip, self.family, method, path, headers, body)

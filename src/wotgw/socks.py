@@ -38,6 +38,11 @@ CMD_UDP_ASSOCIATE = 0x03
 ATYP_IPV4 = 0x01
 ATYP_DOMAIN = 0x03
 ATYP_IPV6 = 0x04
+# The fixed-length address types: the address's length, socket family and family name.
+ADDRESS_TYPES = {
+    ATYP_IPV4: (4, socket.AF_INET, FAMILY_V4),
+    ATYP_IPV6: (16, socket.AF_INET6, FAMILY_V6),
+}
 
 METHOD_NO_AUTH = 0x00
 METHOD_NO_ACCEPTABLE = 0xFF
@@ -101,10 +106,8 @@ def message_length(data: bytes) -> int | None:
     if len(data) < 4:
         return None
     atyp = data[3]
-    if atyp == ATYP_IPV4:
-        return 10
-    if atyp == ATYP_IPV6:
-        return 22
+    if atyp in ADDRESS_TYPES:
+        return 6 + ADDRESS_TYPES[atyp][0]
     if atyp == ATYP_DOMAIN:
         return 7 + data[4] if len(data) > 4 else None
     raise SocksError(f"address type {atyp} not supported", REP_ADDRESS_TYPE_NOT_SUPPORTED)
@@ -139,58 +142,39 @@ def parse_connect(data: bytes) -> SocksConnectRequest:
         raise SocksError(f"unsupported SOCKS version {version}", REP_GENERAL_FAILURE)
     if cmd != CMD_CONNECT:
         raise SocksError(f"command {cmd} not supported", REP_COMMAND_NOT_SUPPORTED)
-    body = data[4:]
-    if atyp == ATYP_IPV4:
-        if len(body) != 6:
-            raise SocksError("bad IPv4 request length", REP_GENERAL_FAILURE)
-        address = socket.inet_ntop(socket.AF_INET, body[:4])
-        kind, addr_end = FAMILY_V4, 4
-    elif atyp == ATYP_IPV6:
-        if len(body) != 18:
-            raise SocksError("bad IPv6 request length", REP_GENERAL_FAILURE)
-        address = socket.inet_ntop(socket.AF_INET6, body[:16])
-        kind, addr_end = FAMILY_V6, 16
-    elif atyp == ATYP_DOMAIN:
-        if len(body) < 1 or len(body) != 1 + body[0] + 2:
-            raise SocksError("bad domain request length", REP_GENERAL_FAILURE)
-        try:
-            address = body[1 : 1 + body[0]].decode("utf-8")
-        except UnicodeDecodeError:
-            raise SocksError("undecodable domain name", REP_GENERAL_FAILURE)
-        kind, addr_end = "domain", 1 + body[0]
-    else:
-        raise SocksError(f"address type {atyp} not supported", REP_ADDRESS_TYPE_NOT_SUPPORTED)
-    port = struct.unpack("!H", body[addr_end : addr_end + 2])[0]
-    return SocksConnectRequest(kind, address, port)
+    if message_length(data) != len(data):  # an unknown address type raises here
+        raise SocksError("bad request length", REP_GENERAL_FAILURE)
+    port = struct.unpack("!H", data[-2:])[0]
+    if atyp in ADDRESS_TYPES:
+        _, af, kind = ADDRESS_TYPES[atyp]
+        return SocksConnectRequest(kind, socket.inet_ntop(af, data[4:-2]), port)
+    try:
+        return SocksConnectRequest("domain", data[5:-2].decode("utf-8"), port)
+    except UnicodeDecodeError:
+        raise SocksError("undecodable domain name", REP_GENERAL_FAILURE)
+
+
+def _address(host: str, port: int) -> bytes:
+    """The end of a request or a reply: address type, address and port."""
+    addr = ip_literal(host)
+    if addr is not None:
+        return bytes((ATYP_IPV4 if addr.version == 4 else ATYP_IPV6,)) + addr.packed + struct.pack("!H", port)
+    raw = host.encode("utf-8")
+    if len(raw) > 255:
+        raise SocksError("domain name too long")
+    return bytes((ATYP_DOMAIN, len(raw))) + raw + struct.pack("!H", port)
 
 
 def build_connect_request(host: str, port: int) -> bytes:
     """Client-side CONNECT message for a literal or domain target."""
-    try:
-        addr = ipaddress.ip_address(host)
-    except ValueError:
-        raw = host.encode("utf-8")
-        if len(raw) > 255:
-            raise SocksError("domain name too long")
-        body = bytes((ATYP_DOMAIN, len(raw))) + raw
-    else:
-        if addr.version == 4:
-            body = bytes((ATYP_IPV4,)) + addr.packed
-        else:
-            body = bytes((ATYP_IPV6,)) + addr.packed
-    return bytes((SOCKS_VERSION, CMD_CONNECT, 0x00)) + body + struct.pack("!H", port)
+    return bytes((SOCKS_VERSION, CMD_CONNECT, 0x00)) + _address(host, port)
 
 
 def encode_reply(code: int, bound: tuple[str, int] | None = None) -> bytes:
     """Server reply; failure replies carry the all-zero IPv4 bound address."""
     if bound is None:
         bound = ("0.0.0.0", 0)
-    host, port = bound[0], bound[1]
-    addr = ipaddress.ip_address(host.split("%")[0])
-    atyp = ATYP_IPV4 if addr.version == 4 else ATYP_IPV6
-    return (
-        bytes((SOCKS_VERSION, code, 0x00, atyp)) + addr.packed + struct.pack("!H", port)
-    )
+    return bytes((SOCKS_VERSION, code, 0x00)) + _address(*bound[:2])
 
 
 # --- target resolution --------------------------------------------------------
@@ -211,12 +195,20 @@ def load_static_table(text: str) -> dict:
     return table
 
 
-def literal_family(host: str) -> str | None:
-    """The family of a literal address; None for a name."""
+def ip_literal(host: str) -> ipaddress.IPv4Address | ipaddress.IPv6Address | None:
+    """The IP address ``host`` spells, an IPv6 one without its scope id; None for a name."""
     try:
-        return FAMILY_V4 if ipaddress.ip_address(host).version == 4 else FAMILY_V6
+        return ipaddress.ip_address(host.split("%")[0] if ":" in host else host)
     except ValueError:
         return None
+
+
+def literal_family(host: str) -> str | None:
+    """The family of a literal address; None for a name."""
+    addr = ip_literal(host)
+    if addr is None:
+        return None
+    return FAMILY_V4 if addr.version == 4 else FAMILY_V6
 
 
 def resolve_target(host: str, port: int, static_table: dict | None = None) -> list[Candidate]:
@@ -295,8 +287,8 @@ class RelayStats:
     sessions_total: int = 0
     sessions_failed: int = 0  # ended without relaying: refused, unreachable or left
     active_sessions: int = 0
-    bytes_up: int = 0
-    bytes_down: int = 0
+    bytes_up: int = 0  # client -> target, counted as relayed
+    bytes_down: int = 0  # target -> client
 
     def snapshot(self) -> dict:
         return asdict(self)
@@ -310,8 +302,7 @@ class _Pipe:
     session relays, what a pipe reads its peer writes, a pipe reads nothing
     while its peer's write buffer is full, and its EOF half-closes the peer.
     A session ends after IDLE_TIMEOUT seconds without a byte relayed. The
-    client's pipe counts the session's bytes and is in its relay's
-    ``_connections`` while connected.
+    client's pipe is in its relay's ``_connections`` while connected.
     """
 
     peer: "_Pipe | None" = None
@@ -321,8 +312,7 @@ class _Pipe:
         self.relay = relay
         self.client = client or self
         self.data = bytearray()  # the negotiation's bytes not yet taken
-        self.eof = self.greeted = self.relaying = self.ended = False
-        self.bytes_up = self.bytes_down = 0  # client -> target, target -> client
+        self.eof = self.greeted = self.ended = False
         self.last = relay.loop.time()
 
     def connection_made(self, transport):
@@ -343,9 +333,9 @@ class _Pipe:
             return
         client.last = self.relay.loop.time()
         if self is client:
-            client.bytes_up += len(data)
+            self.relay.stats.bytes_up += len(data)
         else:
-            client.bytes_down += len(data)
+            self.relay.stats.bytes_down += len(data)
         self.peer.transport.write(data)
 
     def eof_received(self):
@@ -420,14 +410,10 @@ class _Pipe:
         for pipe in (self, self.peer):
             if pipe is not None:
                 pipe.transport.close()
-        stats = self.relay.stats
-        if self.relaying:
-            # bytes first: a reader that sees the session ended sees its bytes
-            stats.bytes_up += self.bytes_up
-            stats.bytes_down += self.bytes_down
-            stats.active_sessions -= 1
+        if self.peer is not None:  # it relayed
+            self.relay.stats.active_sessions -= 1
         else:
-            stats.sessions_failed += 1
+            self.relay.stats.sessions_failed += 1
 
 
 class SocksRelayServer(LoopServer):
@@ -473,7 +459,6 @@ class SocksRelayServer(LoopServer):
             transport.close()
             return
         client.transport.write(encode_reply(REP_SUCCESS, transport.get_extra_info("sockname")[:2]))
-        client.relaying = True
         self.stats.sessions_total += 1
         self.stats.active_sessions += 1
         client.peer, target.peer = target, client

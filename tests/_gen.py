@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import socket
 
 from wotgw import codec
 
@@ -135,6 +136,29 @@ SOCKS_TOKENS = (
     b"\x05", b"\x04", b"\x00", b"\x01", b"\x02", b"\x03", b"\xff", b"\x05\x01\x00",
     b"\x05\x01\x00\x03", b"\x00\x00", b"\xff" * 4,
 )
+
+
+# Characters of a generated name; the first is always a letter, so no name is an IP literal.
+NAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789-.\u00e4\u00e9\u4e2d"
+
+
+def socks_target(rng: random.Random) -> str:
+    """A CONNECT target: an IPv4 literal, an IPv6 literal (with runs of zero
+    groups, and a scope id one time in two), or a name of 1 to 255 UTF-8
+    bytes. Literals are spelled as ``socket.inet_ntop`` spells them."""
+    roll = rng.random()
+    if roll < 0.25:
+        return socket.inet_ntop(socket.AF_INET, rng.randbytes(4))
+    if roll < 0.65:
+        groups = b"".join(rng.randbytes(2) if rng.random() < 0.5 else b"\0\0" for _ in range(8))
+        v6 = socket.inet_ntop(socket.AF_INET6, groups)
+        return v6 + "%" + rng.choice(("lo", "eth0", "7")) if rng.random() < 0.5 else v6
+    if roll < 0.7:
+        return "n" * 255
+    name = rng.choice("abcdefghijklmnopqrstuvwxyz")
+    while rng.random() < 0.9 and len(name) < 60:
+        name += rng.choice(NAME_CHARS)
+    return name
 
 
 def mutated_socks(rng: random.Random) -> bytes:

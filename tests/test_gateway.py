@@ -2540,6 +2540,8 @@ class TestLifecycle:
             assert time.monotonic() - started < 1.0  # the device's answer is not awaited
             assert sock.recv(4096) == b""  # closed unanswered
         assert device.transport.get_extra_info("socket").fileno() == -1
+        # the connection closed mid-exchange counts as discarded, so the counters balance
+        assert gw.pool_counts == {"opened": 1, "reused": 1, "discarded": 1}
         assert _wait_for(lambda: [conn.eof for conn in list(sim_v4._connections)] == [True], timeout=1.0)
         gc.collect()  # an unclosed transport would warn here
 

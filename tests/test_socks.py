@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from _gen import in_pieces, mutated_socks
+from _gen import in_pieces, mutated_socks, socks_target
 from wotgw.socks import (
     ATYP_DOMAIN,
     CMD_BIND,
@@ -30,7 +30,9 @@ from wotgw.socks import (
     _Pipe,
     build_connect_request,
     encode_reply,
+    literal_family,
     load_static_table,
+    message_length,
     negotiate,
     parse_connect,
     resolve_target,
@@ -164,6 +166,53 @@ class TestEncodeReply:
     def test_scope_id_stripped(self):
         reply = encode_reply(REP_SUCCESS, ("fe80::1%lo", 9))
         assert reply[3] == 0x04  # still parses as a v6 literal
+
+
+def _targets(seed: int, n: int = 300):
+    rng = random.Random(seed)
+    return [(socks_target(rng), rng.randrange(65536)) for _ in range(n)]
+
+
+class TestAddressCodec:
+    """Seeded targets of every address type through the one address table
+    and the one encoder that requests and replies share."""
+
+    def test_request_round_trips(self):
+        for host, port in _targets(32):
+            request = parse_connect(build_connect_request(host, port))
+            # a scope id does not travel: the wire holds the 16 address bytes only
+            assert request == SocksConnectRequest(literal_family(host) or "domain", host.split("%")[0], port)
+
+    def test_only_an_ipv6_literal_takes_a_scope_id(self):
+        assert (literal_family("fe80::1%eth0"), literal_family("127.0.0.1%eth0")) == ("v6", None)
+        assert build_connect_request("127.0.0.1%eth0", 80)[3] == ATYP_DOMAIN
+
+    def test_message_length_of_every_request_and_reply(self):
+        rng = random.Random(33)
+        for host, port in _targets(33):
+            request = build_connect_request(host, port)
+            reply = encode_reply(rng.randrange(9), (host, port))
+            assert (message_length(request), message_length(reply)) == (len(request), len(reply))
+
+    def test_every_proper_prefix_is_incomplete_or_a_general_failure(self):
+        for host, port in _targets(34, 100):
+            request = build_connect_request(host, port)
+            for end in range(len(request)):
+                if message_length(request[:end]) is None:
+                    continue
+                with pytest.raises(SocksError) as err:
+                    parse_connect(request[:end])
+                assert err.value.reply_code == REP_GENERAL_FAILURE, (request, end)
+
+    def test_every_other_address_type_is_not_supported(self):
+        for host, port in _targets(35, 30):
+            request = build_connect_request(host, port)
+            for atyp in sorted(set(range(256)) - {1, 3, 4}):
+                changed = request[:3] + bytes((atyp,)) + request[4:]
+                for decode in (message_length, parse_connect):
+                    with pytest.raises(SocksError) as err:
+                        decode(changed)
+                    assert err.value.reply_code == REP_ADDRESS_TYPE_NOT_SUPPORTED, (changed, decode)
 
 
 # --- resolution ----------------------------------------------------------------
@@ -513,6 +562,19 @@ class TestLiveRelay:
         after = relay.stats.snapshot()
         assert after["bytes_up"] >= before["bytes_up"] + 1000
         assert after["bytes_down"] >= before["bytes_down"] + 1000
+
+    def test_bytes_count_while_the_session_is_open(self, relay, echo_v4):
+        host, port = echo_v4.address
+        with socks_connect(relay.listen_address("v4"), host, port, timeout=2.0) as sock:
+            sock.sendall(b"x" * 1000)
+            echoed = b""
+            while len(echoed) < 1000:
+                chunk = sock.recv(1000 - len(echoed))
+                assert chunk, "relay closed before the echo"
+                echoed += chunk
+            # counted before they were written on, so before the echo came back
+            stats = relay.stats.snapshot()
+            assert (stats["bytes_up"], stats["bytes_down"], stats["active_sessions"]) == (1000, 1000, 1)
 
     def test_zero_byte_session(self, relay, echo_v4):
         host, port = echo_v4.address

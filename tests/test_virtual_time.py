@@ -130,3 +130,22 @@ def test_a_device_slower_than_the_request_timeout_gets_504_at_the_timeout():
     assert health == "down"  # a first failure takes an unknown device down
     assert (opened, accounted) == (1, 1)  # the timed-out connection is counted discarded
     assert sim.request_count == 1
+
+
+def test_a_device_entry_gives_the_age_of_its_last_probe():
+    gw, sim = _stack()
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        async with serving(sim, gw):
+            client = await Client.connect(gw.listen_address("v4"))
+            entries = [(await client.request("GET", "/admin/devices"))[2]]
+            await until(2.0)
+            await gw._probe(gw.devices["d"])
+            probed = loop.time()
+            await until(probed + 7.5)
+            entries.append((await client.request("GET", "/admin/devices"))[2])
+            await client.close()
+            return probed, [codec.parse_json(body)["devices"][0]["last_probe_age_s"] for body in entries]
+
+    assert run(main()) == (2.0, [None, 7.5])  # null before the first probe
