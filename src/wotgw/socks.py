@@ -174,7 +174,7 @@ def encode_reply(code: int, bound: tuple[str, int] | None = None) -> bytes:
     """Server reply; failure replies carry the all-zero IPv4 bound address."""
     if bound is None:
         bound = ("0.0.0.0", 0)
-    return bytes((SOCKS_VERSION, code, 0x00)) + _address(*bound[:2])
+    return bytes((SOCKS_VERSION, code, 0x00)) + _address(*bound)
 
 
 # --- target resolution --------------------------------------------------------
